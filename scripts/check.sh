@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verify plus sanitizer passes: ThreadSanitizer over the parallel
-# experiment engine + parallel rollout collection + profiler, AddressSanitizer
-# over the batched RL kernels, a flight-recorder trace round-trip smoke test,
-# a profiler-enabled smoke run, and a telemetry smoke leg (sampled run ->
-# trace_summarize queries -> report_html). `--bench` adds the opt-in benchmark
+# experiment engine + parallel rollout collection + profiler, the whole suite
+# under AddressSanitizer+UndefinedBehaviorSanitizer, a flight-recorder trace
+# round-trip smoke test, a profiler-enabled smoke run, and a telemetry smoke
+# leg (sampled run -> trace_summarize queries -> report_html). `--bench` adds the opt-in benchmark
 # regression leg (scripts/bench_regress.sh against BENCH_seed.json).
 # Usage: scripts/check.sh [--tsan-only | --asan-only | --no-sanitizers | --bench]
 set -euo pipefail
@@ -179,21 +179,15 @@ if [[ "$RUN_TSAN" == 1 ]]; then
 fi
 
 if [[ "$RUN_ASAN" == 1 ]]; then
-  echo "== ASan: batched RL kernels + training path must be leak/overflow-free =="
-  cmake -B build-asan -S . -DLIBRA_SANITIZE=address >/dev/null
-  # rl_test covers the GEMM kernels, workspaces and the PPO update path;
-  # harness_test drives the trainer end-to-end; simd_test walks the AVX2
-  # kernels' unaligned loads and padded-tail handling, in both dispatch
-  # modes. alloc_test is excluded: it replaces global operator new, which
-  # conflicts with ASan's interceptors.
-  cmake --build build-asan -j "$JOBS" --target rl_test harness_test simd_test
-  (cd build-asan && ./tests/rl_test && ./tests/harness_test \
-    && ./tests/simd_test && LIBRA_SIMD=off ./tests/simd_test)
-
-  echo "== UBSan: simd_test (lane arithmetic, exponent-bit tricks) =="
-  cmake -B build-ubsan -S . -DLIBRA_SANITIZE=undefined >/dev/null
-  cmake --build build-ubsan -j "$JOBS" --target simd_test
-  (cd build-ubsan && ./tests/simd_test)
+  echo "== ASan+UBSan: full suite, both kernel dispatch modes =="
+  # Mirrors CI's simd-sanitize job. LIBRA_SANITIZE adds
+  # -fno-sanitize-recover=all, so any finding fails its test. alloc_test is
+  # excluded: it replaces global operator new, which conflicts with ASan's
+  # interceptors.
+  cmake -B build-sanitize -S . -DLIBRA_SANITIZE=address,undefined >/dev/null
+  cmake --build build-sanitize -j "$JOBS"
+  (cd build-sanitize && ctest --output-on-failure -j "$JOBS" -LE alloc_test)
+  (cd build-sanitize && LIBRA_SIMD=off ctest --output-on-failure -j "$JOBS" -LE alloc_test)
 fi
 
 if [[ "$RUN_BENCH" == 1 ]]; then

@@ -22,10 +22,7 @@ class CodelNetwork {
       deliveries_.add(events_.now(), static_cast<double>(pkt.bytes));
       auto idx = static_cast<std::size_t>(pkt.flow_id);
       if (idx >= flows_.size()) return;
-      Packet acked = pkt;
-      events_.schedule_in(ack_delay_, [this, acked, idx] {
-        flows_[idx]->sender().on_ack_packet(acked);
-      });
+      events_.schedule_line_in(ack_lines_[idx], ack_delay_, pkt);
     });
   }
 
@@ -38,6 +35,7 @@ class CodelNetwork {
     flow->sender().set_transmit([this](Packet pkt) { link_->send(std::move(pkt)); });
     flow->sender().set_recorder(&recorder_);
     flow->sender().set_telemetry(&telemetry_);
+    ack_lines_.push_back(events_.add_line(&Sender::ack_from_line, &flow->sender()));
     flows_.push_back(std::move(flow));
     return id;
   }
@@ -88,6 +86,7 @@ class CodelNetwork {
   Telemetry telemetry_;
   std::unique_ptr<CodelQueue> link_;
   std::vector<std::unique_ptr<Flow>> flows_;
+  std::vector<EventQueue::LineId> ack_lines_;  // per flow
   SimDuration ack_delay_ = msec(15);
   TimeSeries deliveries_;
   bool started_ = false;

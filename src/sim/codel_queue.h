@@ -48,7 +48,10 @@ class CodelQueue {
   using DropFn = std::function<void(const Packet&)>;
 
   CodelQueue(EventQueue& events, CodelConfig config)
-      : events_(events), config_(std::move(config)), rng_(config_.seed) {
+      : events_(events),
+        propagation_(events.add_line(&CodelQueue::deliver_from_line, this)),
+        config_(std::move(config)),
+        rng_(config_.seed) {
     if (!config_.capacity) throw std::invalid_argument("CodelQueue: capacity required");
   }
 
@@ -135,13 +138,14 @@ class CodelQueue {
       }
       if (recorder_) recorder_->deliver(events_.now(), pkt.flow_id, pkt.seq,
                                         pkt.bytes, queue_bytes_);
-      if (deliver_) {
-        events_.schedule_in(config_.propagation_delay,
-                            [this, pkt] { deliver_(pkt); });
-      }
+      if (deliver_) events_.schedule_line_in(propagation_, config_.propagation_delay, pkt);
       break;
     }
     schedule_dequeue();
+  }
+
+  static void deliver_from_line(void* self, const Packet& pkt) {
+    static_cast<CodelQueue*>(self)->deliver_(pkt);
   }
 
   bool should_drop(const Packet& pkt) {
@@ -193,6 +197,7 @@ class CodelQueue {
   }
 
   EventQueue& events_;
+  EventQueue::LineId propagation_;  // forwarded packets, to deliver_
   CodelConfig config_;
   Rng rng_;
   std::deque<Packet> queue_;

@@ -1,19 +1,38 @@
 // Discrete-event scheduler.
 //
-// Events are totally ordered by (time, insertion sequence) so simulations are
-// deterministic: two events at the same instant fire in the order they were
-// scheduled.
+// Events are totally ordered by (time, key) so simulations are deterministic:
+// the key is an insertion sequence number (or an explicit key the fleet
+// engine supplies), so two events at the same instant fire in the order they
+// were scheduled.
 //
-// Hot-path notes: callbacks are SmallFunction, so the closures the simulator
-// schedules (sender timers, ACK deliveries carrying a Packet) never touch the
-// heap. The priority queue itself sifts only 24-byte {time, seq, slot} keys
-// over a plain vector; the callbacks sit still in slot pools and are moved
-// exactly once, when their event fires. Slots come in two sizes: most events
-// are timer ticks capturing a pointer or two, so they land in a hot pool of
-// 24-byte-capacity slots, while the fat ACK closures (a Packet plus context)
-// go to a separate cold pool of 88-byte slots. The split keeps the pool the
-// cache touches most ~3x denser; the pool is picked at compile time from the
-// closure's size and tagged in the slot index's high bit.
+// Storage comes in three kinds, all ordered by the one heap of 24-byte
+// {time, key, slot} entries; the high bits of `slot` say which kind holds
+// the payload.
+//
+//  - Hot pool: closures of at most 24 bytes (timer ticks capturing a pointer
+//    or two). Most events are these, so their pool is kept dense.
+//  - Cold pool: any other closure, in 88-byte SmallFunction slots, so a
+//    capture of a Packet plus two words never touches the heap.
+//  - Packet lines: a line is a FIFO ring of {time, key, Packet} items that
+//    all run one plain `handler(ctx, packet)`. It carries the simulator's
+//    fixed-delay packet hops (link propagation, ACK return paths, the fleet
+//    engine's access, next-hop and ACK hops): no closure is built or moved,
+//    and only the line's head item sits in the heap, so the heap holds one
+//    entry per busy line instead of one per packet in flight.
+//
+// Pool slots stay put; a closure is moved once, when its event fires.
+//
+// Ordering with lines: a line only ever holds items in strictly increasing
+// (time, key) order, and its head is in the heap. Every item outside the
+// heap therefore sorts after some item inside it, so the heap minimum is the
+// minimum over everything pending, and popping a line's head and pushing its
+// successor keeps that true. Events pop in exactly the (time, key) order
+// they would have had as closures. Fallback rule: an item that does not sort
+// strictly after its line's tail (a caller that schedules out of order, e.g.
+// an explicit key that goes backwards) is not appended. It becomes an
+// ordinary cold-pool event with the same (time, key) and handler, so the
+// order is unchanged. A constant-delay hop whose keys come from one counter
+// never falls back.
 #pragma once
 
 #include <algorithm>
@@ -23,6 +42,8 @@
 #include <vector>
 
 #include "obs/profiler.h"
+#include "sim/packet.h"
+#include "util/fifo_ring.h"
 #include "util/small_function.h"
 #include "util/types.h"
 
@@ -30,9 +51,9 @@ namespace libra {
 
 class EventQueue {
  public:
-  // Cold slots, sized for the largest simulator capture (the ACK closure:
-  // Packet + two words of context); anything bigger degrades to one heap
-  // allocation inside SmallFunction.
+  // Cold slots, sized for the largest simulator capture (a line's fallback
+  // closure: Packet + handler + context); anything bigger degrades to one
+  // heap allocation inside SmallFunction.
   using Callback = SmallFunction<88>;
   // Hot slots: timer/tick closures capturing at most three words.
   using TimerCallback = SmallFunction<24>;
@@ -59,22 +80,62 @@ class EventQueue {
     } else {
       slot = claim(cold_slots_, free_cold_, Callback(std::forward<Fn>(fn)));
     }
-    heap_.push_back(Key{t, (*seq_src_)++, slot});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-    if (heap_.size() > max_pending_) max_pending_ = heap_.size();
+    push(Key{t, (*seq_src_)++, slot});
+    note_scheduled();
   }
 
   /// Schedules a pre-built callback with an explicit ordering key instead of
-  /// the internal insertion sequence. The fleet engine uses this to give
-  /// cross-shard messages a (source shard, source sequence) key that sorts
-  /// the same whether the queue is the single serial queue or a per-shard
-  /// one — the foundation of its bitwise serial==sharded guarantee.
+  /// the internal insertion sequence. Explicit keys let the fleet engine
+  /// give a cross-shard packet a (source shard, source sequence) key that
+  /// sorts the same whether the queue is the single serial queue or a
+  /// per-shard one — the foundation of its bitwise serial==sharded
+  /// guarantee. Those packets ride lines (schedule_line_keyed), which land
+  /// here only on the fallback.
   void schedule_keyed(SimTime t, std::uint64_t key, Callback fn) {
     if (t < now_) throw std::invalid_argument("EventQueue: scheduling in the past");
-    std::uint32_t slot = claim(cold_slots_, free_cold_, std::move(fn));
-    heap_.push_back(Key{t, key, slot});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-    if (heap_.size() > max_pending_) max_pending_ = heap_.size();
+    push(Key{t, key, claim(cold_slots_, free_cold_, std::move(fn))});
+    note_scheduled();
+  }
+
+  /// Handler of a packet line; `ctx` is the pointer given to add_line.
+  using PacketHandler = void (*)(void* ctx, const Packet& pkt);
+  using LineId = std::uint32_t;
+
+  /// Creates an empty packet line whose items run `fn(ctx, packet)`.
+  LineId add_line(PacketHandler fn, void* ctx) {
+    if (lines_.size() > kIndexMask) throw std::length_error("EventQueue: too many lines");
+    lines_.push_back(Line{fn, ctx, FifoRing<LineItem>()});
+    return static_cast<LineId>(lines_.size() - 1);
+  }
+
+  /// Schedules `pkt` on `line`, `d` from now, keyed from the same sequence
+  /// source schedule_at draws from.
+  void schedule_line_in(LineId line, SimDuration d, const Packet& pkt) {
+    const SimTime t = now_ + d;
+    if (t < now_) throw std::invalid_argument("EventQueue: scheduling in the past");
+    schedule_line_keyed(line, t, (*seq_src_)++, pkt);
+  }
+
+  /// Schedules `pkt` on `line` at absolute time t with an explicit ordering
+  /// key (see schedule_keyed). An item that does not sort strictly after the
+  /// line's tail falls back to a cold-pool event (see the header comment).
+  void schedule_line_keyed(LineId line, SimTime t, std::uint64_t key,
+                           const Packet& pkt) {
+    if (t < now_) throw std::invalid_argument("EventQueue: scheduling in the past");
+    Line& ln = lines_[line];
+    if (ln.items.empty()) {
+      push(Key{t, key, kLineBit | line});
+    } else {
+      const LineItem& tail = ln.items.back();
+      if (t < tail.time || (t == tail.time && key <= tail.key)) {
+        const PacketHandler fn = ln.fn;
+        void* ctx = ln.ctx;
+        schedule_keyed(t, key, [fn, ctx, pkt] { fn(ctx, pkt); });
+        return;
+      }
+    }
+    ln.items.push_back(LineItem{t, key, pkt});
+    note_scheduled();
   }
 
   /// Redirects the insertion-sequence counter used by schedule_at/schedule_in.
@@ -100,7 +161,8 @@ class EventQueue {
   }
 
   bool empty() const { return heap_.empty(); }
-  std::size_t pending() const { return heap_.size(); }
+  /// Events scheduled but not yet run, closures and line items alike.
+  std::size_t pending() const { return pending_; }
 
   /// Events executed since construction (events/sec telemetry for benches).
   std::uint64_t processed() const { return processed_; }
@@ -117,14 +179,24 @@ class EventQueue {
     heap_.pop_back();
     now_ = key.time;
     ++processed_;
+    --pending_;
     if (pop_hook_) pop_hook_(pop_ctx_, key.seq);
-    // Move the callback out and recycle its slot *before* invoking: the
+    // Move the payload out and recycle its slot *before* invoking: the
     // callback is free to schedule new events, which may reuse the slot.
     if (key.slot & kHotBit) {
-      const std::uint32_t s = key.slot & ~kHotBit;
+      const std::uint32_t s = key.slot & kIndexMask;
       TimerCallback cb = std::move(hot_slots_[s]);
       free_hot_.push_back(s);
       cb();
+    } else if (key.slot & kLineBit) {
+      Line& ln = lines_[key.slot & kIndexMask];
+      const Packet pkt = ln.items.front().pkt;
+      ln.items.pop_front();
+      if (!ln.items.empty()) {
+        const LineItem& next = ln.items.front();
+        push(Key{next.time, next.key, key.slot});
+      }
+      ln.fn(ln.ctx, pkt);
     } else {
       Callback cb = std::move(cold_slots_[key.slot]);
       free_cold_.push_back(key.slot);
@@ -169,8 +241,23 @@ class EventQueue {
     }
   };
 
-  // High bit of Key::slot tags the pool; the low 31 bits index into it.
+  // The two high bits of Key::slot tag the kind (hot pool, line, or neither:
+  // cold pool); the low 30 bits index into it.
   static constexpr std::uint32_t kHotBit = 1u << 31;
+  static constexpr std::uint32_t kLineBit = 1u << 30;
+  static constexpr std::uint32_t kIndexMask = kLineBit - 1;
+
+  struct LineItem {
+    SimTime time;
+    std::uint64_t key;
+    Packet pkt;
+  };
+
+  struct Line {
+    PacketHandler fn;
+    void* ctx;
+    FifoRing<LineItem> items;  // strictly increasing (time, key); head in heap_
+  };
 
   // Same criteria SmallFunction<24> uses for inline storage: routing on them
   // means nothing ever lands in a hot slot only to heap-allocate inside it.
@@ -179,6 +266,15 @@ class EventQueue {
       sizeof(std::decay_t<Fn>) <= 24 &&
       alignof(std::decay_t<Fn>) <= alignof(std::max_align_t) &&
       std::is_nothrow_move_constructible_v<std::decay_t<Fn>>;
+
+  void push(Key key) {
+    heap_.push_back(key);
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  }
+
+  void note_scheduled() {
+    if (++pending_ > max_pending_) max_pending_ = pending_;
+  }
 
   template <typename Slot>
   static std::uint32_t claim(std::vector<Slot>& slots,
@@ -200,12 +296,14 @@ class EventQueue {
   std::vector<Callback> cold_slots_;
   std::vector<std::uint32_t> free_hot_;
   std::vector<std::uint32_t> free_cold_;
+  std::vector<Line> lines_;  // indexed by Key::slot low bits
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t* seq_src_ = &next_seq_;
   PopHook pop_hook_ = nullptr;
   void* pop_ctx_ = nullptr;
   std::uint64_t processed_ = 0;
+  std::size_t pending_ = 0;
   std::size_t max_pending_ = 0;
 };
 

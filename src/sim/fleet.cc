@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <future>
 
 #include "obs/profiler.h"
 #include "obs/telemetry.h"
@@ -68,6 +67,7 @@ FleetNetwork::FleetNetwork(std::vector<FleetLink> hops, FleetOptions options)
     shards_[h].hops.push_back(hop);
     links_.push_back(std::move(link));
   }
+  next_hop_wire_.assign(links_.size(), nullptr);
 
   if (opts_.warmup <= 0) {
     window_start_ = 0;
@@ -92,10 +92,7 @@ int FleetNetwork::add_flow(FleetFlowDef def) {
     throw std::invalid_argument("FleetNetwork: bad hop span");
 
   const int id = flow_count();
-  Route r;
-  r.enter = enter;
-  r.exit = exit;
-  r.sender_shard =
+  const std::size_t sender_shard =
       opts_.sender_shards > 0
           ? links_.size() + static_cast<std::size_t>(id % opts_.sender_shards)
           : shard_of_hop(enter);
@@ -104,7 +101,8 @@ int FleetNetwork::add_flow(FleetFlowDef def) {
   // (mirroring the forward propagation and the sender's access link).
   SimDuration return_path = opts_.access_delay + def.extra_ack_delay;
   for (int h = enter; h <= exit; ++h) return_path += hop_specs_[h].to_next_delay;
-  r.ack_delay = hop_specs_[static_cast<std::size_t>(exit)].to_next_delay + return_path;
+  const SimDuration ack_delay =
+      hop_specs_[static_cast<std::size_t>(exit)].to_next_delay + return_path;
 
   SenderConfig cfg = opts_.sender;
   cfg.flow_id = id;
@@ -112,16 +110,18 @@ int FleetNetwork::add_flow(FleetFlowDef def) {
   cfg.stop_time = def.stop;
   cfg.byte_budget = def.byte_budget;
   cfg.external_tick = opts_.soa_scan;
-  auto snd = std::make_unique<Sender>(*shards_[r.sender_shard].queue, cfg,
+  auto snd = std::make_unique<Sender>(*shards_[sender_shard].queue, cfg,
                                       std::move(def.cca));
 
-  DropTailLink* first = links_[static_cast<std::size_t>(enter)].get();
-  const std::size_t src = r.sender_shard;
-  const std::size_t dst = shard_of_hop(enter);
-  const SimDuration access = opts_.access_delay;
-  snd->set_transmit([this, first, src, dst, access](Packet pkt) {
-    post(src, dst, access, [first, pkt] { first->send(pkt); });
-  });
+  Wire* access = wire(sender_shard, shard_of_hop(enter),
+                      links_[static_cast<std::size_t>(enter)].get(), opts_.access_delay);
+  for (int h = enter; h < exit; ++h) {
+    const auto hop = static_cast<std::size_t>(h);
+    next_hop_wire_[hop] = wire(shard_of_hop(h), shard_of_hop(h + 1),
+                               links_[hop + 1].get(), hop_specs_[hop].to_next_delay);
+  }
+  const Route r{exit, wire(shard_of_hop(exit), sender_shard, nullptr, ack_delay)};
+  snd->set_transmit([this, access](Packet pkt) { send(*access, pkt); });
   snd->ack_observer = [this, id](const AckEvent& ev) {
     const auto i = static_cast<std::size_t>(id);
     acked_bytes_[i] += ev.acked_bytes;
@@ -133,7 +133,7 @@ int FleetNetwork::add_flow(FleetFlowDef def) {
     }
   };
 
-  shards_[r.sender_shard].flows.push_back(id);
+  shards_[sender_shard].flows.push_back(id);
   routes_.push_back(r);
   senders_.push_back(std::move(snd));
   acked_bytes_.push_back(0);
@@ -148,16 +148,11 @@ int FleetNetwork::add_flow(FleetFlowDef def) {
 }
 
 void FleetNetwork::compute_lookahead() {
+  // Wires exist only for edges some flow uses, so this is the minimum
+  // cross-shard delay any packet can be sent with.
   SimDuration min_cross = kSimTimeMax;
-  for (const Route& r : routes_) {
-    if (r.sender_shard != shard_of_hop(r.enter))
-      min_cross = std::min(min_cross, opts_.access_delay);
-    for (int h = r.enter; h < r.exit; ++h)
-      min_cross =
-          std::min(min_cross, hop_specs_[static_cast<std::size_t>(h)].to_next_delay);
-    if (r.sender_shard != shard_of_hop(r.exit))
-      min_cross = std::min(min_cross, r.ack_delay);
-  }
+  for (const Wire& w : wires_)
+    if (w.src != w.dst) min_cross = std::min(min_cross, w.delay);
   if (min_cross == kSimTimeMax) {
     // Single-shard topology: one window covers the whole run.
     lookahead_ = std::max<SimDuration>(opts_.duration, 1);
@@ -219,19 +214,58 @@ void FleetNetwork::setup() {
   }
 }
 
+FleetNetwork::Wire* FleetNetwork::wire(std::size_t src, std::size_t dst,
+                                       DropTailLink* link, SimDuration delay) {
+  for (Wire& w : wires_)
+    if (w.src == src && w.dst == dst && w.link == link && w.delay == delay) return &w;
+  Wire& w = wires_.emplace_back(
+      Wire{this, src, dst, link, delay, 0, mode_ == FleetMode::kSerial && src != dst});
+  w.line = shards_[dst].queue->add_line(&FleetNetwork::arrive, &w);
+  return &w;
+}
+
+void FleetNetwork::send(const Wire& w, const Packet& pkt) {
+  EventQueue& q = *shards_[w.src].queue;
+  if (w.src == w.dst) {
+    q.schedule_line_in(w.line, w.delay, pkt);
+    return;
+  }
+  const SimTime t = q.now() + w.delay;
+  const std::uint64_t key = seq_[w.src]++;
+  if (mode_ == FleetMode::kSerial) {
+    q.schedule_line_keyed(w.line, t, key, pkt);
+  } else {
+    outbox_[w.src][w.dst].push_back(PostedPacket{t, key, w.line, pkt});
+  }
+}
+
+void FleetNetwork::arrive(void* ctx, const Packet& pkt) {
+  const Wire& w = *static_cast<const Wire*>(ctx);
+  FleetNetwork& net = *w.net;
+  if (w.switches_context) {
+    // Executing a cross-shard packet means executing *as* the destination:
+    // switch the context the pop hook set from the key's source shard to dst
+    // before the payload runs, so follow-on scheduling draws from dst's
+    // counter — exactly as it does under kSharded, where dst's queue always
+    // draws from dst's counter. The event count moves with it (the pop hook
+    // charged the key's source shard), keeping shard_event_counts()
+    // identical to the sharded engine's per-queue tallies.
+    --net.shard_events_[w.src];
+    ++net.shard_events_[w.dst];
+    net.set_context(w.dst);
+  }
+  if (w.link) {
+    w.link->send(pkt);
+  } else {
+    net.senders_[static_cast<std::size_t>(pkt.flow_id)]->on_ack_packet(pkt);
+  }
+}
+
 void FleetNetwork::on_hop_deliver(int hop, const Packet& pkt) {
   const Route& r = routes_[static_cast<std::size_t>(pkt.flow_id)];
-  const auto h = static_cast<std::size_t>(hop);
-  if (hop < r.exit) {
-    DropTailLink* next = links_[h + 1].get();
-    post(shard_of_hop(hop), shard_of_hop(hop + 1), hop_specs_[h].to_next_delay,
-         [next, pkt] { next->send(pkt); });
-  } else {
-    // Receiver acks immediately; the ACK rides the uncongested return path.
-    Sender* snd = senders_[static_cast<std::size_t>(pkt.flow_id)].get();
-    post(shard_of_hop(hop), r.sender_shard, r.ack_delay,
-         [snd, pkt] { snd->on_ack_packet(pkt); });
-  }
+  // Past the exit hop the receiver acks immediately; the ACK rides the
+  // uncongested return path.
+  send(hop < r.exit ? *next_hop_wire_[static_cast<std::size_t>(hop)] : *r.ack, pkt);
 }
 
 void FleetNetwork::shard_tick(std::size_t s) {
@@ -324,25 +358,27 @@ void FleetNetwork::telemetry_tick() {
 }
 
 void FleetNetwork::process_window(SimTime bound, bool inclusive) {
-  auto work = [this, bound, inclusive](std::size_t s) {
+  struct Window {
+    FleetNetwork* net;
+    SimTime bound;
+    bool inclusive;
+  } window{this, bound, inclusive};
+  auto work = [](void* ctx, std::size_t s) {
     PROF_SCOPE("fleet.shard");
-    EventQueue& q = *shards_[s].queue;
-    if (inclusive) {
-      q.run_until(bound);
+    const Window& w = *static_cast<const Window*>(ctx);
+    EventQueue& q = *w.net->shards_[s].queue;
+    if (w.inclusive) {
+      q.run_until(w.bound);
     } else {
-      q.run_before(bound);
+      q.run_before(w.bound);
     }
   };
   const std::size_t n = shards_.size();
   if (n <= 1 || pool_->thread_count() <= 1) {
-    for (std::size_t s = 0; s < n; ++s) work(s);
+    for (std::size_t s = 0; s < n; ++s) work(&window, s);
     return;
   }
-  std::vector<std::future<void>> pending;
-  pending.reserve(n - 1);
-  for (std::size_t s = 1; s < n; ++s) pending.push_back(pool_->submit(work, s));
-  work(0);
-  for (auto& f : pending) f.get();
+  pool_->fork_join(n, work, &window);
 }
 
 void FleetNetwork::merge_outboxes() {
@@ -352,7 +388,7 @@ void FleetNetwork::merge_outboxes() {
     EventQueue& q = *shards_[dst].queue;
     for (std::size_t src = 0; src < n; ++src) {
       auto& box = outbox_[src][dst];
-      for (PostedMsg& m : box) q.schedule_keyed(m.t, m.key, std::move(m.fn));
+      for (const PostedPacket& m : box) q.schedule_line_keyed(m.line, m.t, m.key, m.pkt);
       box.clear();
     }
   }

@@ -39,6 +39,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -220,11 +221,25 @@ class FleetNetwork {
  private:
   static constexpr unsigned kShardShift = 48;
 
+  /// A fixed-delay packet hop from shard `src` to shard `dst`, carried by
+  /// one packet line on dst's queue (in serial mode, the single queue). With
+  /// a `link` the packet enters that hop's queue; without, it is the ACK for
+  /// the sender of pkt.flow_id. One wire per (src, dst, target, delay), so a
+  /// wire's items arrive in key order and never take the line fallback.
+  struct Wire {
+    FleetNetwork* net;
+    std::size_t src;
+    std::size_t dst;
+    DropTailLink* link;
+    SimDuration delay;
+    EventQueue::LineId line;
+    /// Serial mode, src != dst: arriving means running *as* dst (see arrive).
+    bool switches_context;
+  };
+
   struct Route {
-    int enter = 0;
-    int exit = 0;
-    std::size_t sender_shard = 0;
-    SimDuration ack_delay = 0;
+    int exit;
+    Wire* ack;  // exit hop -> sender
   };
 
   struct Shard {
@@ -234,10 +249,12 @@ class FleetNetwork {
     bool window_snapped = false;
   };
 
-  struct PostedMsg {
+  /// Sharded mode: a cross-shard packet waiting for the next barrier.
+  struct PostedPacket {
     SimTime t = 0;
     std::uint64_t key = 0;
-    EventQueue::Callback fn;
+    EventQueue::LineId line = 0;
+    Packet pkt;
   };
 
   std::size_t shard_of_hop(int h) const { return static_cast<std::size_t>(h); }
@@ -255,43 +272,17 @@ class FleetNetwork {
     self->set_context(s);
   }
 
-  /// Schedules `fn` onto shard `dst`, `delay` after shard `src`'s current
-  /// time. Intra-shard posts go straight to the queue; cross-shard posts
-  /// carry a (src, src-sequence) key and, under kSharded, ride the outbox to
-  /// the next barrier. Cross-shard delay must be >= the lookahead.
-  template <typename Fn>
-  void post(std::size_t src, std::size_t dst, SimDuration delay, Fn&& fn) {
-    if (src == dst) {
-      shards_[src].queue->schedule_in(delay, std::forward<Fn>(fn));
-      return;
-    }
-    if (delay < lookahead_)
-      throw std::logic_error("FleetNetwork: cross-shard delay below lookahead");
-    EventQueue& q = *shards_[src].queue;
-    const SimTime t = q.now() + delay;
-    const std::uint64_t key = seq_[src]++;
-    if (mode_ == FleetMode::kSerial) {
-      // Executing a cross-shard message means executing *as* the destination:
-      // the wrapper switches the context the pop hook set from the key's
-      // source shard to dst before the payload runs, so follow-on scheduling
-      // draws from dst's counter — exactly as it does under kSharded, where
-      // dst's queue always draws from dst's counter. The event count moves
-      // with it (the pop hook charged the key's source shard), keeping
-      // shard_event_counts() identical to the sharded engine's per-queue
-      // tallies.
-      q.schedule_keyed(t, key,
-                       EventQueue::Callback(
-                           [this, src, dst, f = std::forward<Fn>(fn)]() mutable {
-                             --shard_events_[src];
-                             ++shard_events_[dst];
-                             set_context(dst);
-                             f();
-                           }));
-    } else {
-      outbox_[src][dst].push_back(
-          PostedMsg{t, key, EventQueue::Callback(std::forward<Fn>(fn))});
-    }
-  }
+  /// The wire for (src, dst, link, delay), created on first use; only
+  /// edges some flow uses get one (compute_lookahead relies on it).
+  Wire* wire(std::size_t src, std::size_t dst, DropTailLink* link, SimDuration delay);
+  /// Sends `pkt` over `w`, `w.delay` after src's current time. Intra-shard
+  /// items go straight onto the line; cross-shard items carry a (src,
+  /// src-sequence) key and, under kSharded, ride the outbox to the next
+  /// barrier. The lookahead is the minimum cross-shard wire delay, so an
+  /// outbox item always lands at or past the next barrier.
+  void send(const Wire& w, const Packet& pkt);
+  /// Line handler of every wire.
+  static void arrive(void* wire, const Packet& pkt);
 
   void compute_lookahead();
   void setup();
@@ -313,6 +304,8 @@ class FleetNetwork {
   std::vector<std::unique_ptr<DropTailLink>> links_;
   std::vector<std::unique_ptr<Sender>> senders_;
   std::vector<Route> routes_;
+  std::deque<Wire> wires_;           // stable addresses: line handler contexts
+  std::vector<Wire*> next_hop_wire_;  // [h]: hop h -> hop h + 1, if used
   FleetFlowHot hot_;
 
   // Per-flow measurement accumulators. Integer sums in event order, so the
@@ -326,7 +319,7 @@ class FleetNetwork {
   std::vector<std::uint64_t> seq_;  // per-shard key counters, pre-shifted
   std::size_t current_ = 0;         // serial mode: executing shard
   std::vector<std::uint64_t> shard_events_;  // serial: events per shard
-  std::vector<std::vector<std::vector<PostedMsg>>> outbox_;  // [src][dst]
+  std::vector<std::vector<std::vector<PostedPacket>>> outbox_;  // [src][dst]
   SimDuration lookahead_ = 0;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<Telemetry> telemetry_;

@@ -15,7 +15,10 @@ constexpr SimDuration kStallRetry = msec(5);
 }  // namespace
 
 DropTailLink::DropTailLink(EventQueue& events, LinkConfig config)
-    : events_(events), config_(std::move(config)), rng_(config_.seed) {
+    : events_(events),
+      propagation_(events.add_line(&DropTailLink::deliver_from_line, this)),
+      config_(std::move(config)),
+      rng_(config_.seed) {
   if (!config_.capacity) throw std::invalid_argument("DropTailLink: capacity trace required");
   if (config_.buffer_bytes <= 0) throw std::invalid_argument("DropTailLink: buffer must be > 0");
 }
@@ -124,11 +127,7 @@ void DropTailLink::dequeue_head() {
                                     queue_bytes_);
   // Propagation happens after serialization; delivery of this packet and the
   // start of the next transmission are independent events.
-  if (deliver_) {
-    Packet delivered = pkt;
-    events_.schedule_in(config_.propagation_delay,
-                        [this, delivered] { deliver_(delivered); });
-  }
+  if (deliver_) events_.schedule_line_in(propagation_, config_.propagation_delay, pkt);
   schedule_dequeue();
 }
 

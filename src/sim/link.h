@@ -77,11 +77,15 @@ class DropTailLink {
  private:
   void schedule_dequeue();
   void dequeue_head();
+  static void deliver_from_line(void* self, const Packet& pkt) {
+    static_cast<DropTailLink*>(self)->deliver_(pkt);
+  }
   /// True when the packet clears the (active) policer; consumes tokens on
   /// conformance, records the action otherwise.
   bool policer_admits(Packet& pkt);
 
   EventQueue& events_;
+  EventQueue::LineId propagation_;  // packets past serialization, to deliver_
   LinkConfig config_;
   Rng rng_;
   FifoRing<Packet> queue_;

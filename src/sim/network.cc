@@ -16,11 +16,8 @@ Network::Network(LinkConfig link_config) {
     if (idx >= flows_.size()) return;
     // Receiver immediately acks; the ACK crosses the (uncongested) return
     // path and reaches the sender after this flow's ack delay.
-    SimDuration delay = ack_delays_[idx];
-    Packet acked = pkt;
-    events_.schedule_in(delay, [this, acked, idx] {
-      flows_[idx]->sender().on_ack_packet(acked);
-    });
+    const AckPath& ack = ack_paths_[idx];
+    events_.schedule_line_in(ack.line, ack.delay, pkt);
   });
   // Drops are silent at the sender until loss detection notices the gap,
   // exactly as on a real path.
@@ -39,8 +36,10 @@ int Network::add_flow(std::unique_ptr<CongestionControl> cca, SimTime start_time
   flow->sender().set_transmit([this](Packet pkt) { link_->send(std::move(pkt)); });
   flow->sender().set_recorder(&recorder_);
   flow->sender().set_telemetry(&telemetry_);
+  ack_paths_.push_back(
+      AckPath{link_->config().propagation_delay + extra_ack_delay,
+              events_.add_line(&Sender::ack_from_line, &flow->sender())});
   flows_.push_back(std::move(flow));
-  ack_delays_.push_back(link_->config().propagation_delay + extra_ack_delay);
   return id;
 }
 

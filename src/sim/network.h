@@ -45,6 +45,9 @@ class Network {
     return deliveries_.sum_in(t0, t1);
   }
 
+  /// (arrival time at receiver, bytes) of every delivered packet.
+  const TimeSeries& deliveries() const { return deliveries_; }
+
   /// Fraction of the bottleneck capacity actually used over [t0, t1).
   double link_utilization(SimTime t0, SimTime t1) const;
 
@@ -80,7 +83,12 @@ class Network {
   Telemetry telemetry_;
   std::unique_ptr<DropTailLink> link_;
   std::vector<std::unique_ptr<Flow>> flows_;
-  std::vector<SimDuration> ack_delays_;
+  // Per-flow return path: a fixed delay, so each flow's ACKs ride one line.
+  struct AckPath {
+    SimDuration delay;
+    EventQueue::LineId line;
+  };
+  std::vector<AckPath> ack_paths_;
   TimeSeries deliveries_;  // (arrival time at receiver, bytes)
   double wall_time_s_ = 0;
   bool started_ = false;

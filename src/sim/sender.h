@@ -82,6 +82,10 @@ class Sender {
 
   /// Invoked by the network when the ACK for `pkt` reaches the sender.
   void on_ack_packet(const Packet& pkt);
+  /// on_ack_packet as an EventQueue packet-line handler (ctx: the Sender).
+  static void ack_from_line(void* sender, const Packet& pkt) {
+    static_cast<Sender*>(sender)->on_ack_packet(pkt);
+  }
 
   /// One semantic tick (RTO scan, CCA on_tick, send attempt) without the
   /// self-rescheduling timer — the fleet engine's shard scan calls this for

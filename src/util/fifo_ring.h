@@ -26,6 +26,8 @@ class FifoRing {
 
   T& front() { return slots_[head_]; }
   const T& front() const { return slots_[head_]; }
+  /// Most recently pushed element; the ring must be non-empty.
+  const T& back() const { return slots_[(head_ + size_ - 1) & (slots_.size() - 1)]; }
 
   void pop_front() {
     head_ = (head_ + 1) & (slots_.size() - 1);

@@ -4,11 +4,13 @@
 // parallelism is always per-run, never intra-run: submitting N runs to the
 // pool preserves bitwise determinism while using every core. `submit` returns
 // a std::future (exceptions propagate through it); `parallel_for` blocks
-// until a whole index range has been processed.
+// until a whole index range has been processed; `fork_join` does the same
+// without building task objects, for callers that fork at a high rate.
 #pragma once
 
 #include <condition_variable>
 #include <cstdlib>
+#include <exception>
 #include <functional>
 #include <future>
 #include <mutex>
@@ -98,13 +100,63 @@ class ThreadPool {
     if (first_error) std::rethrow_exception(first_error);
   }
 
+  /// Runs fn(ctx, i) for every i in [0, n) on the workers and the calling
+  /// thread; returns when all are done. No task object, future or closure
+  /// is built, so it never allocates: the fleet engine forks one per
+  /// lookahead window. The first exception to finish is rethrown on the
+  /// caller. One fork_join at a time per pool.
+  using IndexFn = void (*)(void* ctx, std::size_t i);
+  void fork_join(std::size_t n, IndexFn fn, void* ctx) {
+    std::unique_lock<std::mutex> lock(mu_);
+    batch_ = Batch{fn, ctx, n, 0, n, nullptr};
+    cv_.notify_all();
+    while (batch_.next < batch_.n) run_batch_item(lock);
+    batch_done_.wait(lock, [this] { return batch_.left == 0; });
+    const std::exception_ptr error = batch_.error;
+    batch_ = Batch{};
+    lock.unlock();
+    if (error) std::rethrow_exception(error);
+  }
+
  private:
+  struct Batch {
+    IndexFn fn = nullptr;
+    void* ctx = nullptr;
+    std::size_t n = 0;
+    std::size_t next = 0;  // next index to claim
+    std::size_t left = 0;  // indices not yet finished
+    std::exception_ptr error;
+  };
+
+  // Claims the next batch index under `lock`, runs it unlocked, relocks.
+  void run_batch_item(std::unique_lock<std::mutex>& lock) {
+    const std::size_t i = batch_.next++;
+    const IndexFn fn = batch_.fn;
+    void* ctx = batch_.ctx;
+    lock.unlock();
+    std::exception_ptr error;
+    try {
+      fn(ctx, i);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    lock.lock();
+    if (error && !batch_.error) batch_.error = error;
+    if (--batch_.left == 0) batch_done_.notify_all();
+  }
+
   void worker_loop() {
     for (;;) {
       std::function<void()> task;
       {
         std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
+        cv_.wait(lock, [this] {
+          return stopping_ || !tasks_.empty() || batch_.next < batch_.n;
+        });
+        if (batch_.next < batch_.n) {
+          run_batch_item(lock);
+          continue;
+        }
         if (tasks_.empty()) return;  // stopping_ set and queue drained
         task = std::move(tasks_.front());
         tasks_.pop();
@@ -115,7 +167,9 @@ class ThreadPool {
 
   std::mutex mu_;
   std::condition_variable cv_;
+  std::condition_variable batch_done_;
   std::queue<std::function<void()>> tasks_;
+  Batch batch_;
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };

@@ -13,19 +13,29 @@
 //   - fleet health: disabled hooks allocate nothing, and an enabled
 //     accumulate/roll steady state allocates nothing after prepare() sized
 //     the timeline.
+//   - simulator packet path: past warm-up, a further simulated second of a
+//     100-flow fleet incast (serial, and sharded on 2 threads) allocates
+//     nothing, and a 2-flow Network allocates only to grow its recorded
+//     time series — packet hops ride packet lines, and the sharded window
+//     barrier forks without task objects.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
+#include "classic/cubic.h"
+#include "harness/fleet_scenario.h"
 #include "obs/fleet_stats.h"
 #include "obs/profiler.h"
 #include "obs/telemetry.h"
 #include "rl/matrix.h"
 #include "rl/ppo.h"
 #include "rl/simd.h"
+#include "sim/fleet.h"
+#include "sim/network.h"
 #include "util/rng.h"
 
 namespace {
@@ -229,6 +239,85 @@ TEST(FleetHealthAllocation, EnabledSteadyStateAllocatesNothing) {
   EXPECT_EQ(g_allocations.load(), 0u)
       << "steady-state fleet-health accumulation touched the heap; prepare() "
          "must size every accumulator and row up front";
+}
+
+// Heap allocations made inside FleetNetwork::run() by a 100-flow incast run
+// to `duration`. Two sender shards put the access and ACK hops across shards.
+std::size_t fleet_run_allocations(FleetMode mode, SimDuration duration) {
+  FleetSpec spec = incast_fleet(100);
+  spec.sender_shards = 2;
+  spec.duration = duration;
+  FleetRunOptions run;
+  run.mode = mode;
+  run.threads = 2;
+  FleetNetwork net(fleet_links(spec), fleet_options(spec, 1, run));
+  for (const FleetFlowPlan& plan : plan_fleet_flows(spec, 1)) {
+    FleetFlowDef def;
+    def.cca = std::make_unique<Cubic>();
+    def.start = plan.start;
+    def.stop = plan.stop;
+    def.byte_budget = plan.byte_budget;
+    def.enter_hop = plan.enter_hop;
+    def.exit_hop = plan.exit_hop;
+    net.add_flow(std::move(def));
+  }
+  g_allocations.store(0);
+  g_counting.store(true);
+  net.run();
+  g_counting.store(false);
+  return g_allocations.load();
+}
+
+TEST(SimulatorAllocation, FleetIncastSteadyStateAllocatesNothing) {
+  // The same run to 2 s (past the 1 s warm-up and the 1 s start stagger) and
+  // to 3 s allocates identically up to 2 s, so the difference is exactly what
+  // the further simulated second allocated.
+  for (FleetMode mode : {FleetMode::kSerial, FleetMode::kSharded}) {
+    const std::size_t warm = fleet_run_allocations(mode, sec(2));
+    const std::size_t longer = fleet_run_allocations(mode, sec(3));
+    EXPECT_EQ(longer, warm)
+        << (mode == FleetMode::kSerial ? "serial" : "sharded")
+        << " fleet allocated " << longer - warm
+        << " times in a steady-state simulated second";
+  }
+}
+
+// Heap allocations std::vector makes while growing from capacity `from` to
+// `to` by push_back (libstdc++ doubles, starting at 1).
+std::size_t vector_growths(std::size_t from, std::size_t to) {
+  std::size_t n = 0;
+  for (std::size_t c = from; c < to; c = c ? 2 * c : 1) ++n;
+  return n;
+}
+
+TEST(SimulatorAllocation, TwoFlowNetworkPacketPathAllocatesNothing) {
+  LinkConfig cfg;
+  cfg.capacity = std::make_shared<ConstantTrace>(mbps(24));
+  cfg.propagation_delay = msec(15);
+  Network net(std::move(cfg));
+  net.add_flow(std::make_unique<Cubic>());
+  net.add_flow(std::make_unique<Cubic>(), msec(100));
+  net.run_until(sec(2));
+  // The Network keeps every delivery, ACK and loss in growing time series
+  // (the results are computed from them). Their amortized doublings are the
+  // only allocations allowed; the packet path itself must make none.
+  std::vector<const TimeSeries*> series = {&net.deliveries()};
+  for (int i = 0; i < net.flow_count(); ++i) {
+    series.push_back(&net.flow(i).acked_bytes_series());
+    series.push_back(&net.flow(i).rtt_series());
+    series.push_back(&net.flow(i).loss_series());
+  }
+  std::vector<std::size_t> capacity;
+  for (const TimeSeries* ts : series) capacity.push_back(ts->points().capacity());
+  g_allocations.store(0);
+  g_counting.store(true);
+  net.run_until(sec(3));
+  g_counting.store(false);
+  std::size_t growths = 0;
+  for (std::size_t i = 0; i < series.size(); ++i)
+    growths += vector_growths(capacity[i], series[i]->points().capacity());
+  EXPECT_EQ(g_allocations.load(), growths)
+      << "the Network packet path allocated in a steady-state simulated second";
 }
 
 TEST(ProfilerAllocation, DisabledSpanAllocatesNothing) {

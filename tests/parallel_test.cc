@@ -65,6 +65,32 @@ TEST(ThreadPool, ParallelForRethrowsTaskException) {
   EXPECT_EQ(completed.load(), 15);  // the batch still drains
 }
 
+TEST(ThreadPool, ForkJoinCoversRangeExactlyOnceRepeatedly) {
+  ThreadPool pool(3);
+  constexpr std::size_t kN = 64;
+  std::vector<std::atomic<int>> hits(kN);
+  auto bump = [](void* ctx, std::size_t i) {
+    (*static_cast<std::vector<std::atomic<int>>*>(ctx))[i].fetch_add(1);
+  };
+  for (int round = 0; round < 200; ++round) pool.fork_join(kN, bump, &hits);
+  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 200) << i;
+  pool.fork_join(0, bump, &hits);  // empty range: no-op
+  EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);  // task queue still works
+}
+
+TEST(ThreadPool, ForkJoinRethrowsAndDrains) {
+  ThreadPool pool(2);
+  std::atomic<int> completed{0};
+  auto work = [](void* ctx, std::size_t i) {
+    if (i == 3) throw std::logic_error("index 3");
+    static_cast<std::atomic<int>*>(ctx)->fetch_add(1);
+  };
+  EXPECT_THROW(pool.fork_join(8, work, &completed), std::logic_error);
+  EXPECT_EQ(completed.load(), 7);
+  pool.fork_join(2, work, &completed);  // the pool stays usable
+  EXPECT_EQ(completed.load(), 9);
+}
+
 TEST(ThreadPool, ManyTasksOnFewThreads) {
   ThreadPool pool(2);
   std::atomic<long> sum{0};

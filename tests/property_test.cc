@@ -1,12 +1,17 @@
 // Property-based tests of the invariants the paper proves or relies on:
 // Appendix A's game-theoretic properties of the utility function, the
-// simulator's conservation laws, determinism, and the action-map algebra.
+// simulator's conservation laws, determinism, the event queue's ordering
+// contract, and the action-map algebra.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "classic/cubic.h"
 #include "classic/newreno.h"
+#include "sim/event_queue.h"
 #include "sim/network.h"
 #include "stats/fairness.h"
 #include "stats/utility_fn.h"
@@ -227,6 +232,102 @@ TEST_P(ClassicFairness, TwoCubicFlowsShareFairly) {
 
 INSTANTIATE_TEST_SUITE_P(Capacities, ClassicFairness,
                          ::testing::Values(12.0, 24.0, 48.0));
+
+// ---------------------------------------------------------------------------
+// Packet lines: random interleavings of closures and line items across
+// several lines (equal times, zero delays, random delays that append out of
+// order, explicit keys that go backwards) pop in exactly the (time, key)
+// order of a closure-only reference queue.
+class LineOrdering : public ::testing::TestWithParam<int> {};
+
+TEST_P(LineOrdering, MatchesClosureOnlyReference) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) + 1);
+  EventQueue lined, ref;
+  std::vector<std::uint64_t> lined_log, ref_log;
+  // Sequence keys start between the two explicit-key ranges, so explicit
+  // keys sort both before and after them at equal times.
+  std::uint64_t lined_seq = 1u << 20, ref_seq = 1u << 20;
+  lined.set_seq_source(&lined_seq);
+  ref.set_seq_source(&ref_seq);
+  std::vector<std::uint64_t> explicit_keys;
+  for (std::uint64_t k = 0; k < 1000; ++k)
+    explicit_keys.push_back(k < 500 ? k : (1u << 21) + k);
+  std::shuffle(explicit_keys.begin(), explicit_keys.end(), rng.engine());
+
+  constexpr int kLines = 3;
+  const SimDuration line_delay[kLines] = {0, msec(1), msec(3)};
+  EventQueue::LineId lines[kLines];
+  for (EventQueue::LineId& line : lines) {
+    line = lined.add_line(
+        [](void* log, const Packet& p) {
+          static_cast<std::vector<std::uint64_t>*>(log)->push_back(p.seq);
+        },
+        &lined_log);
+  }
+  auto logger = [](std::vector<std::uint64_t>& log, std::uint64_t id) {
+    return [&log, id] { log.push_back(id); };
+  };
+
+  Packet pkt;
+  for (int step = 0; step < 2000; ++step) {
+    const auto l = static_cast<std::size_t>(rng.uniform_int(0, kLines - 1));
+    const EventQueue::LineId line = lines[l];
+    const SimDuration jitter = msec(rng.uniform_int(0, 3));
+    switch (rng.uniform_int(0, 5)) {
+      case 0:  // plain closure
+        lined.schedule_in(jitter, logger(lined_log, pkt.seq));
+        ref.schedule_in(jitter, logger(ref_log, pkt.seq));
+        break;
+      case 1:
+      case 2:  // the line's own delay: in order unless a case-3 item got ahead
+        lined.schedule_line_in(line, line_delay[l], pkt);
+        ref.schedule_in(line_delay[l], logger(ref_log, pkt.seq));
+        break;
+      case 3:  // random delay: often behind the line's tail (fallback)
+        lined.schedule_line_in(line, jitter, pkt);
+        ref.schedule_in(jitter, logger(ref_log, pkt.seq));
+        break;
+      case 4: {  // explicit key from a shuffled pool: goes backwards
+        const std::uint64_t key = explicit_keys.back();
+        explicit_keys.pop_back();
+        const SimTime t = lined.now() + jitter;
+        lined.schedule_line_keyed(line, t, key, pkt);
+        ref.schedule_keyed(t, key, logger(ref_log, pkt.seq));
+        break;
+      }
+      default:
+        ASSERT_EQ(lined.run_next(), ref.run_next());
+        break;
+    }
+    ++pkt.seq;
+    ASSERT_EQ(lined.pending(), ref.pending());
+    ASSERT_EQ(lined.now(), ref.now());
+  }
+  while (ref.run_next()) {
+  }
+  while (lined.run_next()) {
+  }
+  EXPECT_EQ(lined_log, ref_log);
+  EXPECT_EQ(lined.processed(), ref.processed());
+  EXPECT_EQ(lined.max_pending(), ref.max_pending());
+  // Lined closures are all hot-pool sized; cold slots come only from line
+  // items that took the fallback.
+  EXPECT_GT(lined.cold_slot_count(), 0u) << "the fallback path never ran";
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomScripts, LineOrdering, ::testing::Range(0, 20));
+
+TEST(PacketLine, SchedulingInThePastThrows) {
+  EventQueue q;
+  const EventQueue::LineId line = q.add_line([](void*, const Packet&) {}, nullptr);
+  q.schedule_at(msec(5), [] {});
+  q.run_until(msec(5));
+  EXPECT_THROW(q.schedule_line_keyed(line, msec(4), 0, Packet{}), std::invalid_argument);
+  EXPECT_THROW(q.schedule_line_in(line, -1, Packet{}), std::invalid_argument);
+  EXPECT_THROW(q.schedule_at(msec(4), [] {}), std::invalid_argument);
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_TRUE(q.empty());
+}
 
 }  // namespace
 }  // namespace libra

@@ -165,6 +165,39 @@ TEST(EventQueue, HotSlotsAreRecycled) {
   EXPECT_EQ(q.cold_slot_count(), 0u);
 }
 
+TEST(EventQueue, PendingCountsLineItemsAndClosures) {
+  // pending()/max_pending() count packet-line items like closures, although
+  // only a line's head sits in the heap; empty() needs both drained.
+  EventQueue q;
+  int delivered = 0;
+  const EventQueue::LineId line = q.add_line(
+      [](void* ctx, const Packet&) { ++*static_cast<int*>(ctx); }, &delivered);
+  int fired = 0;
+  constexpr int kClosures = 3;
+  constexpr int kItems = 5;
+  for (int i = 0; i < kClosures; ++i) q.schedule_at(msec(1 + i), [&fired] { ++fired; });
+  for (int i = 0; i < kItems; ++i) q.schedule_line_in(line, msec(10 + i), Packet{});
+  EXPECT_EQ(q.pending(), static_cast<std::size_t>(kItems + kClosures));
+  EXPECT_EQ(q.max_pending(), static_cast<std::size_t>(kItems + kClosures));
+
+  q.run_until(msec(5));  // closures drained, line items remain
+  EXPECT_EQ(fired, kClosures);
+  EXPECT_EQ(q.pending(), static_cast<std::size_t>(kItems));
+  EXPECT_FALSE(q.empty());
+
+  q.schedule_at(msec(20), [&fired] { ++fired; });
+  q.run_until(msec(14));  // line drained, one closure remains
+  EXPECT_EQ(delivered, kItems);
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_FALSE(q.empty());
+
+  q.run_until(msec(20));
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_EQ(q.max_pending(), static_cast<std::size_t>(kItems + kClosures));
+  EXPECT_EQ(q.processed(), static_cast<std::uint64_t>(kItems + kClosures + 1));
+}
+
 TEST(EventQueue, DestroysUnrunCallbacks) {
   // Pending events dropped with the queue must release their captures.
   auto token = std::make_shared<int>(1);

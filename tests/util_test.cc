@@ -187,7 +187,10 @@ TEST(WindowedFilter, InvalidUntilFirstSample) {
 
 TEST(FifoRing, FifoOrderAcrossGrowth) {
   FifoRing<int> q(2);
-  for (int i = 0; i < 100; ++i) q.push_back(i);
+  for (int i = 0; i < 100; ++i) {
+    q.push_back(i);
+    EXPECT_EQ(q.back(), i);
+  }
   EXPECT_EQ(q.size(), 100u);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(q.front(), i);
