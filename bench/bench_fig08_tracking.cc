@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
       obs.trace_path = args.record_prefix + name + ".jsonl";
     }
     auto net = run_scenario(s, {{zoo().factory(name)}}, 9, obs);
-    series.push_back(net->flow(0).acked_bytes_series().to_rate_bins(sec(1), s.duration));
+    series.push_back(net->flow(0).rate_bins(sec(1), s.duration));
     summaries.push_back(summarize(*net, warmup, s.duration));
   }
 

@@ -40,14 +40,10 @@ int main(int argc, char** argv) {
     ConvFigures* out = &figures[ci];
     req.inspect = [out, &s](const Network& net) {
       for (int f = 0; f < 3; ++f) {
-        out->bins.push_back(
-            net.flow(f).acked_bytes_series().to_rate_bins(sec(2), s.duration));
+        out->bins.push_back(net.flow(f).rate_bins(sec(2), s.duration));
       }
       // Tab. 5 metrics on the third flow, from its entry at 10 s.
-      TimeSeries shifted;
-      for (auto& pt : net.flow(2).acked_bytes_series().points())
-        shifted.add(pt.time - sec(10), pt.value);
-      auto fine = shifted.to_rate_bins(msec(500), sec(40));
+      auto fine = net.flow(2).rate_bins(msec(500), sec(40), sec(10));
       out->third = analyze_convergence(fine, msec(500));
     };
     reqs.push_back(std::move(req));

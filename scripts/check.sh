@@ -113,6 +113,16 @@ if [[ "$RUN_TIER1" == 1 ]]; then
   diff "$TRACE_DIR/fleet_serial.json" "$TRACE_DIR/fleet_sharded.json" || {
     echo "fleet smoke: sharded summary diverged from serial" >&2; exit 1; }
   ./build/tools/json_check "$TRACE_DIR/fleet_serial.json"
+  # Bad input must fail with a message and exit 2: never run a default in
+  # its place, never abort on an uncaught exception.
+  for bad in "--duration=-1" "--topo=parking_lot --hops=0" "--flows=abc" \
+             "--rate=0" "--rate=abc"; do
+    rc=0
+    # shellcheck disable=SC2086  # $bad holds one or two flags
+    ./build/tools/fleet_run $bad >/dev/null 2>&1 || rc=$?
+    [[ "$rc" == 2 ]] || {
+      echo "fleet smoke: fleet_run $bad exited $rc, want 2" >&2; exit 1; }
+  done
   echo "fleet smoke: ok"
 
   echo "== fleet health smoke: windowed timeline + incidents, mode-invariant =="
@@ -176,6 +186,11 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   # unnecessary for the guarantee and triples the cycle time.
   cmake --build build-tsan -j "$JOBS" --target parallel_test multiflow_train_test sim_test util_test obs_test telemetry_test profiler_test rl_test fleet_test
   (cd build-tsan && ./tests/parallel_test && ./tests/multiflow_train_test && ./tests/sim_test && ./tests/util_test && ./tests/obs_test && ./tests/telemetry_test && ./tests/profiler_test && ./tests/rl_test && ./tests/fleet_test)
+  # The pool's exception paths, repeated: a helper task that drops the last
+  # reference to a chunked loop must not release the exception the caller
+  # is still handling.
+  ./build-tsan/tests/parallel_test \
+    --gtest_filter='ParallelForChunked.*:ThreadPool.*' --gtest_repeat=25
 fi
 
 if [[ "$RUN_ASAN" == 1 ]]; then

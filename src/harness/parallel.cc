@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <utility>
 
 namespace libra {
 
@@ -106,14 +107,18 @@ void parallel_for_chunked(ThreadPool& pool, std::size_t begin, std::size_t end,
 
   // The cursor is exhausted, but helpers may still be mid-chunk; wait for
   // every index to complete before touching the error slot or returning
-  // (fn may reference caller stack state).
+  // (fn may reference caller stack state). The error is moved out under the
+  // lock: a helper may drop the last reference to `loop` at any moment, and
+  // the exception must not be released with it while the caller handles it.
+  std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(loop->mu);
     loop->done_cv.wait(lock, [&] {
       return loop->completed.load(std::memory_order_acquire) >= loop->end;
     });
-    if (loop->error) std::rethrow_exception(loop->error);
+    error = std::exchange(loop->error, nullptr);
   }
+  if (error) std::rethrow_exception(error);
 }
 
 std::vector<RunSummary> run_many(const std::vector<RunRequest>& requests,

@@ -92,13 +92,11 @@ RunSummary summarize(const Network& net, SimTime warmup, SimTime horizon) {
     FlowSummary fs;
     fs.throughput_bps = f.throughput_in(warmup, horizon);
     fs.avg_rtt_ms = f.mean_rtt_in(warmup, horizon);
-    // Loss rate over the window: lost packets / (acked + lost) within it.
-    double lost = f.loss_series().sum_in(warmup, horizon) / kDefaultPacketBytes;
-    double acked = f.acked_bytes_series().sum_in(warmup, horizon) / kDefaultPacketBytes;
-    fs.loss_rate = (lost + acked) > 0 ? lost / (lost + acked) : 0.0;
+    fs.loss_rate = f.loss_rate_in(warmup, horizon);
     sum.total_throughput_bps += fs.throughput_bps;
 
-    std::int64_t n = static_cast<std::int64_t>(acked);
+    std::int64_t n = static_cast<std::int64_t>(
+        f.log().acked_bytes_in(warmup, horizon) / kDefaultPacketBytes);
     rtt_weighted += fs.avg_rtt_ms * static_cast<double>(n);
     rtt_samples += n;
     sum.flows.push_back(fs);

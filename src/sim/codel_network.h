@@ -19,9 +19,9 @@ class CodelNetwork {
       : link_(std::make_unique<CodelQueue>(events_, std::move(config))) {
     link_->set_recorder(&recorder_);
     link_->set_deliver([this](const Packet& pkt) {
-      deliveries_.add(events_.now(), static_cast<double>(pkt.bytes));
       auto idx = static_cast<std::size_t>(pkt.flow_id);
       if (idx >= flows_.size()) return;
+      flows_[idx]->record_delivery(events_.now());
       events_.schedule_line_in(ack_lines_[idx], ack_delay_, pkt);
     });
   }
@@ -57,7 +57,7 @@ class CodelNetwork {
   const Telemetry& telemetry() const { return telemetry_; }
 
   double delivered_bytes_in(SimTime t0, SimTime t1) const {
-    return deliveries_.sum_in(t0, t1);
+    return libra::delivered_bytes_in(flows_, t0, t1);
   }
 
  private:
@@ -88,7 +88,6 @@ class CodelNetwork {
   std::vector<std::unique_ptr<Flow>> flows_;
   std::vector<EventQueue::LineId> ack_lines_;  // per flow
   SimDuration ack_delay_ = msec(15);
-  TimeSeries deliveries_;
   bool started_ = false;
 };
 

@@ -11,9 +11,9 @@ Network::Network(LinkConfig link_config) {
   link_ = std::make_unique<DropTailLink>(events_, std::move(link_config));
   link_->set_recorder(&recorder_);
   link_->set_deliver([this](const Packet& pkt) {
-    deliveries_.add(events_.now(), static_cast<double>(pkt.bytes));
     auto idx = static_cast<std::size_t>(pkt.flow_id);
     if (idx >= flows_.size()) return;
+    flows_[idx]->record_delivery(events_.now());
     // Receiver immediately acks; the ACK crosses the (uncongested) return
     // path and reaches the sender after this flow's ack delay.
     const AckPath& ack = ack_paths_[idx];
@@ -122,7 +122,7 @@ void Network::run_until(SimTime t) {
 
 double Network::link_utilization(SimTime t0, SimTime t1) const {
   if (t1 <= t0) return 0.0;
-  double delivered_bits = deliveries_.sum_in(t0, t1) * 8.0;
+  double delivered_bits = delivered_bytes_in(t0, t1) * 8.0;
   double capacity_bits = link_->capacity().average_rate(t0, t1) * to_seconds(t1 - t0);
   if (capacity_bits <= 0) return 0.0;
   return std::min(1.0, delivered_bits / capacity_bits);

@@ -42,11 +42,8 @@ class Network {
 
   /// Aggregate bytes delivered to receivers in [t0, t1).
   double delivered_bytes_in(SimTime t0, SimTime t1) const {
-    return deliveries_.sum_in(t0, t1);
+    return libra::delivered_bytes_in(flows_, t0, t1);
   }
-
-  /// (arrival time at receiver, bytes) of every delivered packet.
-  const TimeSeries& deliveries() const { return deliveries_; }
 
   /// Fraction of the bottleneck capacity actually used over [t0, t1).
   double link_utilization(SimTime t0, SimTime t1) const;
@@ -89,7 +86,6 @@ class Network {
     EventQueue::LineId line;
   };
   std::vector<AckPath> ack_paths_;
-  TimeSeries deliveries_;  // (arrival time at receiver, bytes)
   double wall_time_s_ = 0;
   bool started_ = false;
   bool metrics_finalized_ = false;

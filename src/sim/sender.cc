@@ -6,6 +6,7 @@
 #include "obs/profiler.h"
 #include "obs/telemetry.h"
 #include "sim/flow_soa.h"
+#include "stats/flow_log.h"
 
 namespace libra {
 
@@ -227,6 +228,7 @@ void Sender::on_ack_packet(const Packet& pkt) {
   ev.ecn_ce = pkt.ce_marked;
   if (ev.ecn_ce) ++packets_ce_;
   cca_->on_ack(ev);
+  if (log_) log_->add_ack(now, rtt);
   if (ack_observer) ack_observer(ev);
   if (recorder_) {
     recorder_->ack(now, config_.flow_id, pkt.seq, rtt, info.bytes, delivery_rate,
@@ -273,6 +275,7 @@ void Sender::declare_lost(std::uint64_t seq, const Outstanding& info,
   LossEvent ev{events_.now(), seq, info.sent_time, info.bytes,
                bytes_in_flight_, from_timeout};
   cca_->on_loss(ev);
+  if (log_) log_->add_loss(ev.now);
   if (loss_observer) loss_observer(ev);
   if (recorder_) {
     recorder_->loss(ev.now, config_.flow_id, seq, info.bytes, from_timeout);

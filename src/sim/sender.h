@@ -20,6 +20,7 @@ namespace libra {
 
 struct TelemetryFlowSample;
 struct FleetFlowHot;
+class FlowLog;
 
 struct SenderConfig {
   int flow_id = 0;
@@ -70,6 +71,10 @@ class Sender {
     telemetry_ = telemetry;
     cca_->bind_telemetry(telemetry, config_.flow_id);
   }
+
+  /// Attaches the run log every ACK (time, RTT) and loss time is appended
+  /// to; null (the default) records nothing.
+  void set_log(FlowLog* log) { log_ = log; }
 
   /// Fills the sender-owned fields of a telemetry sample: cwnd, the
   /// *effective* pacing rate (what the pacer actually enforces, including the
@@ -262,6 +267,9 @@ class Sender {
   std::int64_t packets_acked_ = 0;
   std::int64_t packets_lost_ = 0;
   std::int64_t packets_ce_ = 0;
+
+  // Last, so adding it left the layout of the members above unchanged.
+  FlowLog* log_ = nullptr;
 };
 
 }  // namespace libra

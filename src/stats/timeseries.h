@@ -1,5 +1,7 @@
-// Timestamped value series with binning, used for throughput-over-time plots
-// (Figs. 2a, 8, 15, 18) and convergence analysis.
+// Timestamped (time, value) series with windowed sums and rate binning: one
+// 16-byte point per sample, scanned in full by every query. Flows record
+// runs in the compact FlowLog (stats/flow_log.h); this is the plain
+// reference its queries are tested against.
 #pragma once
 
 #include <stdexcept>

@@ -15,9 +15,9 @@
 //     the timeline.
 //   - simulator packet path: past warm-up, a further simulated second of a
 //     100-flow fleet incast (serial, and sharded on 2 threads) allocates
-//     nothing, and a 2-flow Network allocates only to grow its recorded
-//     time series — packet hops ride packet lines, and the sharded window
-//     barrier forks without task objects.
+//     nothing, and a 2-flow Network allocates only its run logs' chunks —
+//     packet hops ride packet lines, and the sharded window barrier forks
+//     without task objects.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -282,11 +282,15 @@ TEST(SimulatorAllocation, FleetIncastSteadyStateAllocatesNothing) {
   }
 }
 
-// Heap allocations std::vector makes while growing from capacity `from` to
-// `to` by push_back (libstdc++ doubles, starting at 1).
-std::size_t vector_growths(std::size_t from, std::size_t to) {
+// Heap allocations made so far by every flow's run log (chunks plus chunk
+// index regrowths).
+std::size_t log_allocations(const Network& net) {
   std::size_t n = 0;
-  for (std::size_t c = from; c < to; c = c ? 2 * c : 1) ++n;
+  for (int i = 0; i < net.flow_count(); ++i) {
+    const FlowLog& log = net.flow(i).log();
+    n += log.acks().allocations() + log.losses().allocations() +
+         log.deliveries().allocations();
+  }
   return n;
 }
 
@@ -298,26 +302,20 @@ TEST(SimulatorAllocation, TwoFlowNetworkPacketPathAllocatesNothing) {
   net.add_flow(std::make_unique<Cubic>());
   net.add_flow(std::make_unique<Cubic>(), msec(100));
   net.run_until(sec(2));
-  // The Network keeps every delivery, ACK and loss in growing time series
-  // (the results are computed from them). Their amortized doublings are the
-  // only allocations allowed; the packet path itself must make none.
-  std::vector<const TimeSeries*> series = {&net.deliveries()};
-  for (int i = 0; i < net.flow_count(); ++i) {
-    series.push_back(&net.flow(i).acked_bytes_series());
-    series.push_back(&net.flow(i).rtt_series());
-    series.push_back(&net.flow(i).loss_series());
-  }
-  std::vector<std::size_t> capacity;
-  for (const TimeSeries* ts : series) capacity.push_back(ts->points().capacity());
+  // Each flow logs every ACK, loss and delivery in an append-only chunked
+  // log (the results are computed from it). A new chunk (or a regrowth of
+  // the chunk index) is the only allocation allowed; the packet path itself
+  // must make none. The window is long enough (~1000 ACKs/s per flow) for
+  // each flow's ACK log to start its second chunk inside it.
+  const std::size_t before = log_allocations(net);
   g_allocations.store(0);
   g_counting.store(true);
-  net.run_until(sec(3));
+  net.run_until(sec(6));
   g_counting.store(false);
-  std::size_t growths = 0;
-  for (std::size_t i = 0; i < series.size(); ++i)
-    growths += vector_growths(capacity[i], series[i]->points().capacity());
-  EXPECT_EQ(g_allocations.load(), growths)
-      << "the Network packet path allocated in a steady-state simulated second";
+  const std::size_t chunks = log_allocations(net) - before;
+  EXPECT_GT(chunks, 0u);
+  EXPECT_EQ(g_allocations.load(), chunks)
+      << "the Network packet path allocated in steady state";
 }
 
 TEST(ProfilerAllocation, DisabledSpanAllocatesNothing) {

@@ -192,7 +192,7 @@ TEST(RunMany, InspectHookSeesTheCompletedNetwork) {
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     double* slot = &inspected[i];
     reqs[i].inspect = [slot](const Network& net) {
-      *slot = net.flow(0).acked_bytes_series().sum_in(0, kSimTimeMax);
+      *slot = net.flow(0).log().acked_bytes_in(0, kSimTimeMax);
     };
   }
 
@@ -203,7 +203,7 @@ TEST(RunMany, InspectHookSeesTheCompletedNetwork) {
     SCOPED_TRACE(i);
     auto net = run_scenario(reqs[i].scenario, reqs[i].flows, reqs[i].seed);
     EXPECT_EQ(inspected[i],
-              net->flow(0).acked_bytes_series().sum_in(0, kSimTimeMax));
+              net->flow(0).log().acked_bytes_in(0, kSimTimeMax));
   }
 }
 

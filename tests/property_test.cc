@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -14,6 +15,8 @@
 #include "sim/event_queue.h"
 #include "sim/network.h"
 #include "stats/fairness.h"
+#include "stats/flow_log.h"
+#include "stats/timeseries.h"
 #include "stats/utility_fn.h"
 #include "util/rng.h"
 
@@ -143,9 +146,10 @@ TEST_P(Determinism, IdenticalSeedsIdenticalRuns) {
     Network net(std::move(cfg));
     net.add_flow(std::make_unique<Cubic>());
     net.run_until(sec(5));
-    const auto& m = net.flow(0).metrics();
+    const Flow& f = net.flow(0);
+    const FlowMetrics m = f.metrics();
     return std::make_tuple(m.packets_sent, m.packets_acked, m.packets_lost,
-                           m.rtt_ms.mean());
+                           f.mean_rtt_in(0, kSimTimeMax));
   };
   EXPECT_EQ(run(), run());
 }
@@ -328,6 +332,104 @@ TEST(PacketLine, SchedulingInThePastThrows) {
   EXPECT_EQ(q.pending(), 0u);
   EXPECT_TRUE(q.empty());
 }
+
+// ---------------------------------------------------------------------------
+// Run logs: every windowed query and the rate bins of a FlowLog are bitwise
+// equal to a per-packet (time, value) TimeSeries fed the same events — the
+// storage it replaced. Several flows with different packet sizes share one
+// clock (equal times included) and deliveries are also checked in aggregate,
+// as the Network sums them. The event count crosses chunk boundaries.
+class FlowLogQueries : public ::testing::TestWithParam<int> {};
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST_P(FlowLogQueries, MatchTimeSeriesReference) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) + 101);
+  struct Ref {
+    FlowLog log;
+    TimeSeries acked, rtt_ms, lost;
+  };
+  const std::int64_t sizes[] = {kDefaultPacketBytes, 1200,
+                                rng.uniform_int(40, 9000)};
+  std::vector<Ref> flows;
+  for (std::int64_t bytes : sizes) flows.push_back({FlowLog(bytes), {}, {}, {}});
+  TimeSeries delivered;  // every flow's deliveries, in time order
+
+  SimTime now = 0;
+  std::vector<SimTime> times;
+  for (int step = 0; step < 40000; ++step) {
+    now += rng.uniform_int(0, 3) == 0 ? 0 : rng.uniform_int(1, 400);
+    Ref& f = flows[static_cast<std::size_t>(rng.uniform_int(0, 2))];
+    const auto bytes = static_cast<double>(f.log.packet_bytes());
+    const std::int64_t kind = rng.uniform_int(0, 9);
+    if (kind < 6) {
+      const SimDuration rtt = rng.uniform_int(0, msec(400));
+      f.log.add_ack(now, rtt);
+      f.acked.add(now, bytes);
+      f.rtt_ms.add(now, to_msec(rtt));
+    } else if (kind < 9) {
+      f.log.add_delivery(now);
+      delivered.add(now, bytes);
+    } else {
+      f.log.add_loss(now);
+      f.lost.add(now, bytes);
+    }
+    times.push_back(now);
+  }
+  ASSERT_GT(flows[0].log.acks().size(), ChunkedLog<AckRecord>::kChunkRecords);
+
+  auto at = [&](std::size_t i) { return times[i % times.size()]; };
+  auto any_index = [&] { return static_cast<std::size_t>(rng.uniform_int(0, 1 << 30)); };
+  std::vector<std::pair<SimTime, SimTime>> windows = {
+      {0, 0},                          // empty
+      {msec(50), msec(10)},            // inverted
+      {at(777), at(777)},              // zero width on an event time
+      {at(1000), at(30000)},           // both ends on event times
+      {now, now + 1},                  // the last instant only
+      {now + 1, now + sec(1)},         // past the end
+      {-sec(1), 0},                    // before the start
+      {0, kSimTimeMax},                // everything
+  };
+  for (int k = 0; k < 60; ++k) {
+    const SimTime a = k % 2 ? at(any_index()) : rng.uniform_int(-1000, now + 1000);
+    const SimTime b = k % 3 ? at(any_index()) : rng.uniform_int(-1000, now + 1000);
+    windows.emplace_back(a, b);
+  }
+  for (auto [t0, t1] : windows) {
+    SCOPED_TRACE(testing::Message() << "[" << t0 << ", " << t1 << ")");
+    double delivered_sum = 0.0;
+    for (const Ref& f : flows) {
+      EXPECT_TRUE(same_bits(f.log.acked_bytes_in(t0, t1), f.acked.sum_in(t0, t1)));
+      EXPECT_TRUE(same_bits(f.log.lost_bytes_in(t0, t1), f.lost.sum_in(t0, t1)));
+      EXPECT_TRUE(same_bits(f.log.mean_rtt_ms_in(t0, t1), f.rtt_ms.mean_in(t0, t1)));
+      delivered_sum += f.log.delivered_bytes_in(t0, t1);
+    }
+    EXPECT_TRUE(same_bits(delivered_sum, delivered.sum_in(t0, t1)));
+  }
+
+  for (int k = 0; k < 12; ++k) {
+    // k == 0: 1 µs bins over a short horizon; otherwise at most ~6000 bins.
+    const SimDuration bin = k == 0 ? 1 : rng.uniform_int(msec(1), msec(200));
+    const SimDuration horizon = rng.uniform_int(1, k == 0 ? 5000 : now + msec(300));
+    const SimTime origin = k < 2 ? 0 : k < 6 ? at(any_index()) : rng.uniform_int(-5000, now);
+    SCOPED_TRACE(testing::Message() << "bin " << bin << " horizon " << horizon
+                                    << " origin " << origin);
+    for (const Ref& f : flows) {
+      TimeSeries shifted;
+      for (const TimeSeries::Point& p : f.acked.points())
+        shifted.add(p.time - origin, p.value);
+      const std::vector<double> got = f.log.ack_rate_bins(bin, horizon, origin);
+      const std::vector<double> want = shifted.to_rate_bins(bin, horizon);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_TRUE(same_bits(got[i], want[i])) << "bin " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomLogs, FlowLogQueries, ::testing::Range(0, 10));
 
 }  // namespace
 }  // namespace libra

@@ -530,7 +530,7 @@ TEST(Network, StaggeredFlowsStartAndStop) {
   const Flow& first = net.flow(0);
   const Flow& second = net.flow(1);
   // First flow stops at 4 s: no acked bytes attributable past ~4.2 s.
-  EXPECT_DOUBLE_EQ(first.acked_bytes_series().sum_in(sec(5), sec(8)), 0.0);
+  EXPECT_DOUBLE_EQ(first.log().acked_bytes_in(sec(5), sec(8)), 0.0);
   // Second flow owns the link afterwards.
   EXPECT_GT(second.throughput_in(sec(5), sec(8)), mbps(9));
 }

@@ -3,6 +3,7 @@
 #include "stats/cdf.h"
 #include "stats/convergence.h"
 #include "stats/fairness.h"
+#include "stats/flow_log.h"
 #include "stats/overhead.h"
 #include "stats/summary.h"
 #include "stats/timeseries.h"
@@ -102,6 +103,17 @@ TEST(TimeSeries, RateBinsIgnoreOutOfHorizon) {
   ts.add(sec(10), 1500);
   auto bins = ts.to_rate_bins(msec(100), sec(1));
   for (double b : bins) EXPECT_DOUBLE_EQ(b, 0.0);
+}
+
+TEST(FlowLog, RejectsTimeGoingBackwardsAndBadPacketSize) {
+  FlowLog fl(1500);
+  fl.add_ack(msec(10), msec(1));
+  fl.add_ack(msec(10), msec(2));  // equal times are fine
+  EXPECT_THROW(fl.add_ack(msec(9), msec(1)), std::logic_error);
+  fl.add_loss(msec(3));
+  EXPECT_THROW(fl.add_loss(msec(2)), std::logic_error);
+  EXPECT_EQ(fl.acks().size(), 2u);
+  EXPECT_THROW(FlowLog(0), std::invalid_argument);
 }
 
 TEST(Convergence, DetectsStableSignal) {

@@ -8,11 +8,14 @@
 //
 //   fleet_run --topo=incast --flows=100 --cca=cubic --mode=sharded --threads=4
 //   fleet_run --topo=parking_lot --hops=4 --flows=64 --duration=5 --churn
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "harness/fleet_scenario.h"
 #include "harness/zoo.h"
@@ -27,7 +30,7 @@ struct Options {
   int flows = 100;
   int hops = 4;
   int long_flows = 4;
-  double rate_mbps = 0;  // 0: topology default
+  double rate_mbps = 0;  // 0 (unset): topology default
   double duration_s = 10;
   double warmup_s = 1;
   std::string mode = "serial";
@@ -38,7 +41,7 @@ struct Options {
   bool events_only = false;
   bool soa = true;
   double stagger_ms = -1;  // <0: topology default
-  std::int64_t buffer_bytes = 0;  // 0: topology default
+  std::int64_t buffer_bytes = 0;  // 0 (unset): topology default
   bool health = false;
   std::size_t record = 0;  // >0: black-box ring capacity (events)
   std::int64_t ecn_bytes = 0;      // >0: ECN marking threshold (+ ECT senders)
@@ -70,6 +73,31 @@ int usage(const char* argv0) {
   return 2;
 }
 
+enum class Range { kAny, kNonNegative, kPositive };
+
+// Parses all of `text` as a number of type T. Empty input, trailing
+// characters, out-of-range or non-finite values, and values outside `range`
+// throw std::invalid_argument naming the flag.
+template <class T>
+T number(const std::string& arg, const char* text, Range range = Range::kAny) {
+  T out{};
+  const char* end = text + std::strlen(text);
+  auto [ptr, ec] = std::from_chars(text, end, out);
+  bool ok = ec == std::errc() && ptr == end && ptr != text;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(out);
+  if (ok && range == Range::kPositive) ok = out > 0;
+  if (ok && range == Range::kNonNegative) ok = out >= 0;
+  if (!ok) {
+    const char* what = range == Range::kPositive      ? "a positive number"
+                       : range == Range::kNonNegative ? "a non-negative number"
+                                                      : "a number";
+    throw std::invalid_argument(arg + ": expected " + what);
+  }
+  return out;
+}
+
+// Returns false on an unknown flag; throws std::invalid_argument on a bad
+// value.
 bool parse_args(int argc, char** argv, Options& o) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -82,43 +110,45 @@ bool parse_args(int argc, char** argv, Options& o) {
     } else if (const char* v = value("--cca=")) {
       o.cca = v;
     } else if (const char* v = value("--flows=")) {
-      o.flows = std::atoi(v);
+      o.flows = number<int>(arg, v, Range::kPositive);
     } else if (const char* v = value("--hops=")) {
-      o.hops = std::atoi(v);
+      o.hops = number<int>(arg, v, Range::kPositive);
     } else if (const char* v = value("--long-flows=")) {
-      o.long_flows = std::atoi(v);
+      o.long_flows = number<int>(arg, v, Range::kNonNegative);
     } else if (const char* v = value("--rate=")) {
-      o.rate_mbps = std::atof(v);
+      o.rate_mbps = number<double>(arg, v, Range::kPositive);
     } else if (const char* v = value("--duration=")) {
-      o.duration_s = std::atof(v);
+      o.duration_s = number<double>(arg, v, Range::kPositive);
     } else if (const char* v = value("--warmup=")) {
-      o.warmup_s = std::atof(v);
+      o.warmup_s = number<double>(arg, v, Range::kNonNegative);
     } else if (const char* v = value("--mode=")) {
       o.mode = v;
     } else if (const char* v = value("--threads=")) {
-      o.threads = static_cast<std::size_t>(std::atoi(v));
+      o.threads = number<std::size_t>(arg, v, Range::kNonNegative);
     } else if (const char* v = value("--sender-shards=")) {
-      o.sender_shards = std::atoi(v);
+      o.sender_shards = number<int>(arg, v, Range::kNonNegative);
     } else if (const char* v = value("--seed=")) {
-      o.seed = std::strtoull(v, nullptr, 10);
+      o.seed = number<std::uint64_t>(arg, v, Range::kNonNegative);
     } else if (const char* v = value("--soa=")) {
-      o.soa = std::atoi(v) != 0;
+      const int soa = number<int>(arg, v, Range::kNonNegative);
+      if (soa > 1) throw std::invalid_argument(arg + ": expected 0 or 1");
+      o.soa = soa == 1;
     } else if (const char* v = value("--stagger=")) {
-      o.stagger_ms = std::atof(v);
+      o.stagger_ms = number<double>(arg, v);
     } else if (const char* v = value("--buffer=")) {
-      o.buffer_bytes = std::atoll(v);
+      o.buffer_bytes = number<std::int64_t>(arg, v, Range::kPositive);
     } else if (const char* v = value("--record=")) {
-      o.record = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
+      o.record = number<std::size_t>(arg, v, Range::kNonNegative);
     } else if (const char* v = value("--ecn=")) {
-      o.ecn_bytes = std::atoll(v);
+      o.ecn_bytes = number<std::int64_t>(arg, v, Range::kNonNegative);
     } else if (const char* v = value("--policer-rate=")) {
-      o.policer_rate_mbps = std::atof(v);
+      o.policer_rate_mbps = number<double>(arg, v, Range::kNonNegative);
     } else if (const char* v = value("--policer-burst=")) {
-      o.policer_burst = std::atoll(v);
+      o.policer_burst = number<std::int64_t>(arg, v, Range::kPositive);
     } else if (const char* v = value("--policer-start=")) {
-      o.policer_start_s = std::atof(v);
+      o.policer_start_s = number<double>(arg, v, Range::kNonNegative);
     } else if (const char* v = value("--policer-stop=")) {
-      o.policer_stop_s = std::atof(v);
+      o.policer_stop_s = number<double>(arg, v);
     } else if (arg == "--policer-mark") {
       o.policer_mark = true;
     } else if (arg == "--health") {
@@ -148,6 +178,9 @@ int run(const Options& o) {
   }
   spec.duration = static_cast<SimDuration>(o.duration_s * 1e6);
   spec.warmup = static_cast<SimDuration>(o.warmup_s * 1e6);
+  // The summary measures [warmup, duration); an empty window reads as zeros.
+  if (!o.events_only && spec.warmup >= spec.duration)
+    throw std::invalid_argument("--warmup must be below --duration");
   if (o.stagger_ms >= 0)
     spec.stagger = static_cast<SimDuration>(o.stagger_ms * 1e3);
   spec.sender_shards = o.sender_shards;
@@ -252,7 +285,14 @@ int run(const Options& o) {
 }  // namespace libra
 
 int main(int argc, char** argv) {
-  libra::Options opts;
-  if (!libra::parse_args(argc, argv, opts)) return libra::usage(argv[0]);
-  return libra::run(opts);
+  // Bad input (a malformed or out-of-range value, or a spec the fleet
+  // rejects) exits 2 with a message, like an unknown flag.
+  try {
+    libra::Options opts;
+    if (!libra::parse_args(argc, argv, opts)) return libra::usage(argv[0]);
+    return libra::run(opts);
+  } catch (const std::logic_error& e) {
+    std::cerr << "fleet_run: " << e.what() << "\n";
+    return 2;
+  }
 }
