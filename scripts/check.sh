@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verify plus sanitizer passes: ThreadSanitizer over the parallel
-# experiment engine + parallel rollout collection + profiler, the whole suite
-# under AddressSanitizer+UndefinedBehaviorSanitizer, a flight-recorder trace
+# Tier-1 verify plus sanitizer passes: the whole suite under ThreadSanitizer
+# and under AddressSanitizer+UndefinedBehaviorSanitizer, a flight-recorder trace
 # round-trip smoke test, a profiler-enabled smoke run, and a telemetry smoke
 # leg (sampled run -> trace_summarize queries -> report_html). `--bench` adds the opt-in benchmark
 # regression leg (scripts/bench_regress.sh against BENCH_seed.json).
@@ -49,6 +48,17 @@ if [[ "$RUN_TIER1" == 1 ]]; then
     echo "trace round-trip: missing totals line" >&2; exit 1; }
   grep -q '"link_utilization"' "$TRACE_DIR/summary.json" || {
     echo "trace round-trip: record_run emitted no JSON summary" >&2; exit 1; }
+  # Bad input must fail with a message and exit 2: never run a default in
+  # its place, never abort on an uncaught exception.
+  for bad in "--rate=abc" "--rate=-5" "--duration=-1" "--duration=abc" \
+             "--duration=1" "--duration=1e300" "--seed=xyz" "--sample-ms=0" \
+             "--sample-ms=abc"; do
+    rc=0
+    ./build/tools/record_run --no-trace --telemetry="$TRACE_DIR/bad.jsonl" \
+      "$bad" >/dev/null 2>&1 || rc=$?
+    [[ "$rc" == 2 ]] || {
+      echo "trace round-trip: record_run $bad exited $rc, want 2" >&2; exit 1; }
+  done
   echo "trace round-trip: ok"
 
   echo "== profiler smoke: profiled run + validated JSON artifacts =="
@@ -177,15 +187,13 @@ if [[ "$RUN_TIER1" == 1 ]]; then
 fi
 
 if [[ "$RUN_TSAN" == 1 ]]; then
-  echo "== TSan: parallel engine + rollout collection must be race-free =="
+  echo "== TSan: full suite must be race-free =="
+  # Mirrors CI's tsan job. alloc_test is excluded, as under ASan: it
+  # replaces global operator new, which conflicts with the sanitizer's
+  # interceptors.
   cmake -B build-tsan -S . -DLIBRA_SANITIZE=thread >/dev/null
-  # The determinism/engine tests are the ones that exercise cross-thread
-  # sharing (frozen brains, the pool, run_many, parallel rollout collection,
-  # concurrent metrics merges, logger sinks, and the profiler's thread-local
-  # trees + report-time merge); building the whole tree under TSan is
-  # unnecessary for the guarantee and triples the cycle time.
-  cmake --build build-tsan -j "$JOBS" --target parallel_test multiflow_train_test sim_test util_test obs_test telemetry_test profiler_test rl_test fleet_test
-  (cd build-tsan && ./tests/parallel_test && ./tests/multiflow_train_test && ./tests/sim_test && ./tests/util_test && ./tests/obs_test && ./tests/telemetry_test && ./tests/profiler_test && ./tests/rl_test && ./tests/fleet_test)
+  cmake --build build-tsan -j "$JOBS"
+  (cd build-tsan && ctest --output-on-failure -j "$JOBS" -LE alloc_test)
   # The pool's exception paths, repeated: a helper task that drops the last
   # reference to a chunked loop must not release the exception the caller
   # is still handling.

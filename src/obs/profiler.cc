@@ -56,6 +56,19 @@ std::size_t Profiler::thread_count() const {
   return n;
 }
 
+void ProfScope::begin(const char* name) {
+  tp_ = &Profiler::thread_profile();
+  node_ = tp_->enter(name);
+  start_ = std::chrono::steady_clock::now();
+}
+
+void ProfScope::end() {
+  const auto elapsed = std::chrono::steady_clock::now() - start_;
+  tp_->exit(node_, static_cast<std::uint64_t>(
+                       std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
+                           .count()));
+}
+
 namespace {
 
 ProfileStats& child_named(ProfileStats& parent, const char* name) {

@@ -174,33 +174,26 @@ class Profiler {
 };
 
 /// RAII span. Constructed disabled it stores a null profile pointer and the
-/// destructor is a single predicted branch.
+/// destructor is a single predicted branch. The enabled path lives out of
+/// line in profiler.cc, so only the check inlines into every span site.
 class ProfScope {
  public:
   explicit ProfScope(const char* name) {
-    if (!Profiler::enabled()) {
-      tp_ = nullptr;
-      return;
-    }
-    tp_ = &Profiler::thread_profile();
-    node_ = tp_->enter(name);
-    start_ = std::chrono::steady_clock::now();
+    if (Profiler::enabled()) begin(name);
   }
 
   ~ProfScope() {
-    if (!tp_) return;
-    auto elapsed = std::chrono::steady_clock::now() - start_;
-    tp_->exit(node_, static_cast<std::uint64_t>(
-                         std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             elapsed)
-                             .count()));
+    if (tp_) end();
   }
 
   ProfScope(const ProfScope&) = delete;
   ProfScope& operator=(const ProfScope&) = delete;
 
  private:
-  ThreadProfile* tp_;
+  void begin(const char* name);
+  void end();
+
+  ThreadProfile* tp_ = nullptr;
   std::uint32_t node_ = 0;
   std::chrono::steady_clock::time_point start_;
 };

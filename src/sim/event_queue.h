@@ -3,11 +3,11 @@
 // Events are totally ordered by (time, key) so simulations are deterministic:
 // the key is an insertion sequence number (or an explicit key the fleet
 // engine supplies), so two events at the same instant fire in the order they
-// were scheduled.
+// were scheduled. Every (time, key) pair is unique, so any exact min-queue
+// runs the same sequence; only the layout below is a matter of speed.
 //
-// Storage comes in three kinds, all ordered by the one heap of 24-byte
-// {time, key, slot} entries; the high bits of `slot` say which kind holds
-// the payload.
+// Storage comes in three kinds, all ordered by 24-byte {time, key, slot}
+// heap entries; the high bits of `slot` say which kind holds the payload.
 //
 //  - Hot pool: closures of at most 24 bytes (timer ticks capturing a pointer
 //    or two). Most events are these, so their pool is kept dense.
@@ -17,16 +17,35 @@
 //    all run one plain `handler(ctx, packet)`. It carries the simulator's
 //    fixed-delay packet hops (link propagation, ACK return paths, the fleet
 //    engine's access, next-hop and ACK hops): no closure is built or moved,
-//    and only the line's head item sits in the heap, so the heap holds one
+//    and only the line's head item sits in a heap, so the heaps hold one
 //    entry per busy line instead of one per packet in flight.
 //
 // Pool slots stay put; a closure is moved once, when its event fires.
 //
+// Two tiers. Entries up to the main tier's end time go to the main heap,
+// later ones to the far heap, so every main entry sorts before every far
+// entry and the main minimum is the global one. Setup-time events seconds
+// ahead (a fleet's flow starts) wait in the far heap instead of deepening
+// every sift of the main one. When the main heap runs empty, its end time
+// moves to just below the far minimum plus kFarWindow, and every far entry
+// up to it moves over. They leave the far heap in ascending order, and a
+// sorted array is already a heap. kFarWindow is well above the tick
+// interval and the per-packet delays, so almost every follow-up lands in
+// the main heap.
+//
+// One sift per event. run_next reads the main root but leaves it in place as
+// a hole. The first main-heap push while the event runs (usually its one
+// follow-up: a tick, the next dequeue, or a line's successor) fills the hole
+// and sifts down once, where a pop followed by a push would sift twice. An
+// event that pushes nothing closes the hole after its callback: the last
+// entry moves to the root and sifts down. The hole never outlives run_next,
+// which must not be re-entered from a callback.
+//
 // Ordering with lines: a line only ever holds items in strictly increasing
-// (time, key) order, and its head is in the heap. Every item outside the
-// heap therefore sorts after some item inside it, so the heap minimum is the
-// minimum over everything pending, and popping a line's head and pushing its
-// successor keeps that true. Events pop in exactly the (time, key) order
+// (time, key) order, and its head is in a heap. Every item outside the
+// heaps therefore sorts after some item inside them, so the heap minimum is
+// the minimum over everything pending, and popping a line's head and pushing
+// its successor keeps that true. Events pop in exactly the (time, key) order
 // they would have had as closures. Fallback rule: an item that does not sort
 // strictly after its line's tail (a caller that schedules out of order, e.g.
 // an explicit key that goes backwards) is not appended. It becomes an
@@ -36,6 +55,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <stdexcept>
 #include <type_traits>
@@ -64,6 +84,9 @@ class EventQueue {
                 "cold slot outgrew its budget (storage + ops pointer)");
   static_assert(sizeof(TimerCallback) < sizeof(Callback),
                 "hot/cold split is pointless unless hot slots are smaller");
+
+  /// Width of the main heap's time range after a refill (see the header).
+  static constexpr SimDuration kFarWindow = msec(100);
 
   SimTime now() const { return now_; }
 
@@ -160,7 +183,9 @@ class EventQueue {
     schedule_at(now_ + d, std::forward<Fn>(fn));
   }
 
-  bool empty() const { return heap_.empty(); }
+  bool empty() const {
+    return heap_.size() == static_cast<std::size_t>(hole_) && far_.empty();
+  }
   /// Events scheduled but not yet run, closures and line items alike.
   std::size_t pending() const { return pending_; }
 
@@ -172,11 +197,12 @@ class EventQueue {
 
   /// Executes the earliest event; returns false when the queue is empty.
   bool run_next() {
-    if (heap_.empty()) return false;
+    assert(!hole_ && "EventQueue::run_next re-entered from a callback");
+    if (!load()) return false;
     PROF_SCOPE("sim.event");
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    const Key key = heap_.back();
-    heap_.pop_back();
+    const Key key = heap_[0];
+    hole_ = true;
+    const CloseHole close{this};
     now_ = key.time;
     ++processed_;
     --pending_;
@@ -207,7 +233,7 @@ class EventQueue {
 
   /// Runs every event with time <= t, then advances the clock to exactly t.
   void run_until(SimTime t) {
-    while (!heap_.empty() && heap_.front().time <= t) run_next();
+    while (load() && heap_[0].time <= t) run_next();
     if (t > now_) now_ = t;
   }
 
@@ -216,7 +242,7 @@ class EventQueue {
   /// window [T, T+L) must exclude its right edge, where cross-shard messages
   /// merged at the barrier may still land.
   void run_before(SimTime t) {
-    while (!heap_.empty() && heap_.front().time < t) run_next();
+    while (load() && heap_[0].time < t) run_next();
   }
 
   void run_for(SimDuration d) { run_until(now_ + d); }
@@ -233,13 +259,32 @@ class EventQueue {
     std::uint32_t slot;
   };
 
-  // std::push_heap builds a max-heap, so "greater" ordering puts the earliest
-  // (time, seq) at the front.
-  struct Later {
-    bool operator()(const Key& a, const Key& b) const {
-      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
+  static bool earlier(const Key& a, const Key& b) {
+    return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+  }
+
+  // Min-heap sifts that place `k` at index i's final position, stopping as
+  // soon as the order holds.
+  static void sift_up(std::vector<Key>& h, std::size_t i, const Key& k) {
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 2;
+      if (!earlier(k, h[parent])) break;
+      h[i] = h[parent];
+      i = parent;
     }
-  };
+    h[i] = k;
+  }
+
+  static void sift_down(std::vector<Key>& h, std::size_t i, const Key& k) {
+    const std::size_t n = h.size();
+    for (std::size_t child = 2 * i + 1; child < n; child = 2 * i + 1) {
+      if (child + 1 < n && earlier(h[child + 1], h[child])) ++child;
+      if (!earlier(h[child], k)) break;
+      h[i] = h[child];
+      i = child;
+    }
+    h[i] = k;
+  }
 
   // The two high bits of Key::slot tag the kind (hot pool, line, or neither:
   // cold pool); the low 30 bits index into it.
@@ -267,10 +312,46 @@ class EventQueue {
       alignof(std::decay_t<Fn>) <= alignof(std::max_align_t) &&
       std::is_nothrow_move_constructible_v<std::decay_t<Fn>>;
 
-  void push(Key key) {
-    heap_.push_back(key);
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  void push(const Key& key) {
+    if (key.time > near_end_) {
+      far_.push_back(key);
+      sift_up(far_, far_.size() - 1, key);
+    } else if (hole_) {
+      hole_ = false;
+      sift_down(heap_, 0, key);
+    } else {
+      heap_.push_back(key);
+      sift_up(heap_, heap_.size() - 1, key);
+    }
   }
+
+  /// Makes heap_[0] the earliest pending entry, refilling the main heap from
+  /// the far one if it ran empty; false when nothing is pending.
+  bool load() {
+    if (!heap_.empty()) return true;
+    if (far_.empty()) return false;
+    const SimTime first = far_[0].time;
+    near_end_ = first + std::min(kFarWindow - 1, kSimTimeMax - first);  // saturates
+    while (!far_.empty() && far_[0].time <= near_end_) {
+      heap_.push_back(far_[0]);
+      const Key last = far_.back();
+      far_.pop_back();
+      if (!far_.empty()) sift_down(far_, 0, last);
+    }
+    return true;
+  }
+
+  // Fills the hole run_next left at the root with the last entry.
+  struct CloseHole {
+    EventQueue* q;
+    ~CloseHole() {
+      if (!q->hole_) return;
+      q->hole_ = false;
+      const Key last = q->heap_.back();
+      q->heap_.pop_back();
+      if (!q->heap_.empty()) sift_down(q->heap_, 0, last);
+    }
+  };
 
   void note_scheduled() {
     if (++pending_ > max_pending_) max_pending_ = pending_;
@@ -291,7 +372,10 @@ class EventQueue {
     return slot;
   }
 
-  std::vector<Key> heap_;
+  std::vector<Key> heap_;  // main tier: time <= near_end_; root is a hole while hole_
+  std::vector<Key> far_;   // far tier: time > near_end_
+  SimTime near_end_ = kFarWindow - 1;
+  bool hole_ = false;
   std::vector<TimerCallback> hot_slots_;  // indexed by Key::slot low bits
   std::vector<Callback> cold_slots_;
   std::vector<std::uint32_t> free_hot_;

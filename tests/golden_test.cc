@@ -1,9 +1,10 @@
 // Golden-output pins: FNV-1a digests of the deterministic simulated fields of
-// a few canonical runs (droptail single bottleneck, CoDel, fleet incast), recorded once and checked on every build. The other
-// determinism tests compare two runs of the same tree (serial vs sharded,
-// thread counts, seeds); these catch an engine change that shifts results
-// across commits. A digest may change only together with a deliberate,
-// documented change of simulated behaviour.
+// a few canonical runs (droptail single bottleneck, CoDel, fleet incast, a
+// churned sharded fleet with health), recorded once and checked on every
+// build. The other determinism tests compare two runs of the same tree
+// (serial vs sharded, thread counts, seeds); these catch an engine change
+// that shifts results across commits. A digest may change only together
+// with a deliberate, documented change of simulated behaviour.
 //
 // Classic CCAs only, so the pins hold under both LIBRA_SIMD dispatch modes.
 #include <gtest/gtest.h>
@@ -38,6 +39,12 @@ class Fnv1a {
     std::memcpy(&bits, &v, sizeof bits);
     add(bits);
   }
+  void add(const std::string& s) {
+    for (unsigned char c : s) {
+      h_ ^= c;
+      h_ *= 1099511628211ull;
+    }
+  }
   std::string hex() const {
     char buf[17];
     std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h_));
@@ -60,12 +67,10 @@ std::string scenario_digest(const Scenario& scenario, const CcaFactory& make_cca
   return d.hex();
 }
 
-std::string incast_digest(const CcaFactory& make_cca, std::int64_t ecn_bytes) {
-  FleetSpec spec = incast_fleet(100);
-  spec.duration = sec(3);
-  spec.ecn_threshold_bytes = ecn_bytes;
+std::string fleet_digest(const FleetSpec& spec, const CcaFactory& make_cca,
+                         const FleetRunOptions& run = {}) {
   FleetObsResult obs;
-  const FleetSummary s = run_fleet(spec, make_cca, /*seed=*/1, {}, &obs);
+  const FleetSummary s = run_fleet(spec, make_cca, /*seed=*/1, run, &obs);
   Fnv1a d;
   for (double v : {s.sim_time_s, s.window_s, s.total_throughput_bps, s.avg_delay_ms,
                    s.jain_fairness})
@@ -74,8 +79,16 @@ std::string incast_digest(const CcaFactory& make_cca, std::int64_t ecn_bytes) {
   for (double u : s.hop_utilization) d.add(u);
   for (const FleetFlowSummary& f : s.flows)
     for (double v : {f.throughput_bps, f.avg_rtt_ms, f.loss_rate, f.completion_s}) d.add(v);
+  if (run.health) d.add(health_report_json(obs.health));
   for (std::uint64_t e : obs.shard_events) d.add(e);
   return d.hex();
+}
+
+std::string incast_digest(const CcaFactory& make_cca, std::int64_t ecn_bytes) {
+  FleetSpec spec = incast_fleet(100);
+  spec.duration = sec(3);
+  spec.ecn_threshold_bytes = ecn_bytes;
+  return fleet_digest(spec, make_cca);
 }
 
 CcaFactory cubic() {
@@ -110,6 +123,22 @@ TEST(Golden, IncastCubic) {
 TEST(Golden, IncastDctcpEcn) {
   EXPECT_EQ(incast_digest([] { return std::make_unique<Dctcp>(); }, 45 * 1000),
             "700601375a2940e7");
+}
+
+// The benchmark's fleet shape, scaled down: churn schedules most flow starts
+// seconds ahead, and sender shards give cross-shard explicit keys. Serial and
+// sharded runs must both reproduce the pin.
+TEST(Golden, ChurnedIncastShardedHealth) {
+  FleetSpec spec = incast_fleet(200);
+  spec.churn.enabled = true;
+  spec.sender_shards = 3;
+  spec.duration = sec(3);
+  FleetRunOptions run;
+  run.health = true;
+  EXPECT_EQ(fleet_digest(spec, cubic(), run), "6384b1252119d307");
+  run.mode = FleetMode::kSharded;
+  run.threads = 2;
+  EXPECT_EQ(fleet_digest(spec, cubic(), run), "6384b1252119d307");
 }
 
 TEST(Golden, CodelTwoCubic) {

@@ -6,8 +6,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <array>
 #include <cmath>
+#include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "classic/cubic.h"
@@ -331,6 +334,189 @@ TEST(PacketLine, SchedulingInThePastThrows) {
   EXPECT_THROW(q.schedule_at(msec(4), [] {}), std::invalid_argument);
   EXPECT_EQ(q.pending(), 0u);
   EXPECT_TRUE(q.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Event queue against an ordered (time, key) reference set. Random scripts
+// mix hot and cold closures, explicit keys that go backwards and line items;
+// each event's callback schedules 0, 1 or 2 follow-ups. Delays span the
+// queue's far-tier window: same instant, sub-tick, exactly kFarWindow - 1,
+// kFarWindow and kFarWindow + 1, and seconds ahead. Now and then the script
+// drains the queue and leaves only far events, at T and around
+// T + kFarWindow, so the refill boundary is hit exactly. run_until and
+// run_before stop before, at and across those boundaries. Pop order, now(),
+// empty(), pending(), max_pending() and processed() are checked at every
+// step, and inside every callback.
+class QueueModel : public ::testing::TestWithParam<int> {
+ protected:
+  using Entry = std::pair<SimTime, std::uint64_t>;
+
+  void SetUp() override {
+    rng_ = Rng(static_cast<std::uint64_t>(GetParam()) + 7);
+    q_.set_seq_source(&seq_);
+    for (std::uint64_t k = 0; k < 4000; ++k) explicit_keys_.push_back(k);
+    std::shuffle(explicit_keys_.begin(), explicit_keys_.end(), rng_.engine());
+    for (EventQueue::LineId& line : lines_) {
+      line = q_.add_line(
+          [](void* self, const Packet& p) {
+            auto* m = static_cast<QueueModel*>(self);
+            m->fire(m->line_items_[p.seq]);
+          },
+          this);
+    }
+  }
+
+  SimDuration draw_delay() {
+    constexpr SimDuration w = EventQueue::kFarWindow;
+    switch (rng_.uniform_int(0, 9)) {
+      case 0: return 0;
+      case 1: return w - 1;
+      case 2: return w;
+      case 3: return w + 1;
+      case 4: return sec(rng_.uniform_int(1, 3)) + rng_.uniform_int(0, 2);
+      default: return usec(rng_.uniform_int(1, msec(12)));
+    }
+  }
+
+  std::uint64_t explicit_key() {
+    if (explicit_keys_.empty()) return seq_++;
+    const std::uint64_t key = explicit_keys_.back();
+    explicit_keys_.pop_back();
+    return key;
+  }
+
+  void schedule(SimTime t) {
+    const auto line = static_cast<std::size_t>(rng_.uniform_int(0, kLines - 1));
+    Entry e{t, seq_};
+    switch (rng_.uniform_int(0, 4)) {
+      case 0:  // hot closure
+        q_.schedule_at(t, [this, e] { fire(e); });
+        break;
+      case 1: {  // cold closure
+        const std::array<std::uint64_t, 4> pad{};
+        q_.schedule_at(t, [this, e, pad] { fire(e, pad[0]); });
+        break;
+      }
+      case 2:  // explicit key
+        e.second = explicit_key();
+        q_.schedule_keyed(t, e.second, [this, e] { fire(e); });
+        break;
+      case 3:  // line item, sequence key
+        q_.schedule_line_in(lines_[line], t - q_.now(), item(e));
+        break;
+      default:  // line item, explicit key (may fall back to a closure)
+        e.second = explicit_key();
+        q_.schedule_line_keyed(lines_[line], t, e.second, item(e));
+        break;
+    }
+    ASSERT_TRUE(ref_.insert(e).second) << "duplicate (time, key)";
+    ref_max_ = std::max(ref_max_, ref_.size());
+  }
+
+  Packet item(const Entry& e) {
+    Packet p;
+    p.seq = line_items_.size();
+    line_items_.push_back(e);
+    return p;
+  }
+
+  void fire(const Entry& e, std::uint64_t pad = 0) {
+    ASSERT_EQ(pad, 0u);
+    ASSERT_FALSE(ref_.empty()) << "queue ran an event the reference lacks";
+    ASSERT_EQ(*ref_.begin(), e) << "out of order";
+    ref_.erase(ref_.begin());
+    ref_now_ = e.first;
+    ++ref_processed_;
+    ASSERT_EQ(q_.now(), e.first);
+    ASSERT_EQ(q_.pending(), ref_.size());
+    ASSERT_EQ(q_.empty(), ref_.empty());
+    const std::int64_t r = rng_.uniform_int(0, 19);
+    const int follow_ups = r < 8 ? 0 : r < 17 ? 1 : 2;
+    for (int i = 0; i < follow_ups; ++i) schedule(q_.now() + draw_delay());
+  }
+
+  // Drains the queue, then leaves only far events: T, T + kFarWindow - 1,
+  // T + kFarWindow (the first refill's boundary) and T + kFarWindow + 1.
+  void far_only() {
+    while (q_.run_next()) {
+    }
+    const SimTime t = q_.now() + sec(2);
+    constexpr SimDuration w = EventQueue::kFarWindow;
+    for (SimTime at : {t + w, t, t + w + 1, t + w - 1, t}) schedule(at);
+  }
+
+  void check() {
+    ASSERT_EQ(q_.now(), ref_now_);
+    ASSERT_EQ(q_.empty(), ref_.empty());
+    ASSERT_EQ(q_.pending(), ref_.size());
+    ASSERT_EQ(q_.max_pending(), ref_max_);
+    ASSERT_EQ(q_.processed(), ref_processed_);
+  }
+
+  static constexpr int kLines = 3;
+  EventQueue q_;
+  Rng rng_{0};
+  std::uint64_t seq_ = 1u << 20;  // above every explicit key
+  std::vector<std::uint64_t> explicit_keys_;
+  std::array<EventQueue::LineId, kLines> lines_{};
+  std::vector<Entry> line_items_;  // indexed by Packet::seq
+  std::set<Entry> ref_;
+  SimTime ref_now_ = 0;
+  std::size_t ref_max_ = 0;
+  std::uint64_t ref_processed_ = 0;
+};
+
+TEST_P(QueueModel, MatchesOrderedReference) {
+  for (int step = 0; step < 3000; ++step) {
+    const std::int64_t op = rng_.uniform_int(0, 99);
+    if (op < 45) {
+      schedule(q_.now() + draw_delay());
+    } else if (op < 75) {
+      const bool pending = !ref_.empty();
+      ASSERT_EQ(q_.run_next(), pending);
+    } else if (op < 86) {
+      const SimTime t = q_.now() + draw_delay();
+      q_.run_until(t);
+      ref_now_ = std::max(ref_now_, t);
+      ASSERT_TRUE(ref_.empty() || ref_.begin()->first > t);
+    } else if (op < 97) {
+      const SimTime t = q_.now() + draw_delay();
+      q_.run_before(t);
+      ASSERT_TRUE(ref_.empty() || ref_.begin()->first >= t);
+    } else {
+      far_only();
+    }
+    if (HasFatalFailure()) return;
+    check();
+  }
+  while (q_.run_next()) {
+    if (HasFatalFailure()) return;
+  }
+  check();
+  EXPECT_TRUE(q_.empty());
+  EXPECT_FALSE(q_.run_next());
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomScripts, QueueModel, ::testing::Range(0, 20));
+
+// The far tier's window saturates at the end of time: events at and just
+// below kSimTimeMax, with explicit keys going backwards, still pop in
+// (time, key) order.
+TEST(EventQueueTiers, EndOfTime) {
+  EventQueue q;
+  std::vector<std::uint64_t> order;
+  auto log = [&order](std::uint64_t id) { return [&order, id] { order.push_back(id); }; };
+  q.schedule_keyed(kSimTimeMax, 9, log(4));
+  q.schedule_keyed(kSimTimeMax - EventQueue::kFarWindow, 5, log(1));
+  q.schedule_keyed(kSimTimeMax, 3, [&] {
+    order.push_back(3);
+    q.schedule_keyed(kSimTimeMax, 4, log(35));
+  });
+  q.schedule_keyed(kSimTimeMax - 1, 7, log(2));
+  while (q.run_next()) {
+  }
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2, 3, 35, 4}));
+  EXPECT_EQ(q.now(), kSimTimeMax);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,18 +8,16 @@
 //
 //   fleet_run --topo=incast --flows=100 --cca=cubic --mode=sharded --threads=4
 //   fleet_run --topo=parking_lot --hops=4 --flows=64 --duration=5 --churn
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 
 #include "harness/fleet_scenario.h"
 #include "harness/zoo.h"
 #include "obs/json.h"
+#include "util/parse_number.h"
 
 namespace libra {
 namespace {
@@ -73,29 +71,6 @@ int usage(const char* argv0) {
   return 2;
 }
 
-enum class Range { kAny, kNonNegative, kPositive };
-
-// Parses all of `text` as a number of type T. Empty input, trailing
-// characters, out-of-range or non-finite values, and values outside `range`
-// throw std::invalid_argument naming the flag.
-template <class T>
-T number(const std::string& arg, const char* text, Range range = Range::kAny) {
-  T out{};
-  const char* end = text + std::strlen(text);
-  auto [ptr, ec] = std::from_chars(text, end, out);
-  bool ok = ec == std::errc() && ptr == end && ptr != text;
-  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(out);
-  if (ok && range == Range::kPositive) ok = out > 0;
-  if (ok && range == Range::kNonNegative) ok = out >= 0;
-  if (!ok) {
-    const char* what = range == Range::kPositive      ? "a positive number"
-                       : range == Range::kNonNegative ? "a non-negative number"
-                                                      : "a number";
-    throw std::invalid_argument(arg + ": expected " + what);
-  }
-  return out;
-}
-
 // Returns false on an unknown flag; throws std::invalid_argument on a bad
 // value.
 bool parse_args(int argc, char** argv, Options& o) {
@@ -110,43 +85,43 @@ bool parse_args(int argc, char** argv, Options& o) {
     } else if (const char* v = value("--cca=")) {
       o.cca = v;
     } else if (const char* v = value("--flows=")) {
-      o.flows = number<int>(arg, v, Range::kPositive);
+      o.flows = number<int>(arg, v, NumberRange::kPositive);
     } else if (const char* v = value("--hops=")) {
-      o.hops = number<int>(arg, v, Range::kPositive);
+      o.hops = number<int>(arg, v, NumberRange::kPositive);
     } else if (const char* v = value("--long-flows=")) {
-      o.long_flows = number<int>(arg, v, Range::kNonNegative);
+      o.long_flows = number<int>(arg, v, NumberRange::kNonNegative);
     } else if (const char* v = value("--rate=")) {
-      o.rate_mbps = number<double>(arg, v, Range::kPositive);
+      o.rate_mbps = number<double>(arg, v, NumberRange::kPositive);
     } else if (const char* v = value("--duration=")) {
-      o.duration_s = number<double>(arg, v, Range::kPositive);
+      o.duration_s = number<double>(arg, v, NumberRange::kPositive);
     } else if (const char* v = value("--warmup=")) {
-      o.warmup_s = number<double>(arg, v, Range::kNonNegative);
+      o.warmup_s = number<double>(arg, v, NumberRange::kNonNegative);
     } else if (const char* v = value("--mode=")) {
       o.mode = v;
     } else if (const char* v = value("--threads=")) {
-      o.threads = number<std::size_t>(arg, v, Range::kNonNegative);
+      o.threads = number<std::size_t>(arg, v, NumberRange::kNonNegative);
     } else if (const char* v = value("--sender-shards=")) {
-      o.sender_shards = number<int>(arg, v, Range::kNonNegative);
+      o.sender_shards = number<int>(arg, v, NumberRange::kNonNegative);
     } else if (const char* v = value("--seed=")) {
-      o.seed = number<std::uint64_t>(arg, v, Range::kNonNegative);
+      o.seed = number<std::uint64_t>(arg, v, NumberRange::kNonNegative);
     } else if (const char* v = value("--soa=")) {
-      const int soa = number<int>(arg, v, Range::kNonNegative);
+      const int soa = number<int>(arg, v, NumberRange::kNonNegative);
       if (soa > 1) throw std::invalid_argument(arg + ": expected 0 or 1");
       o.soa = soa == 1;
     } else if (const char* v = value("--stagger=")) {
       o.stagger_ms = number<double>(arg, v);
     } else if (const char* v = value("--buffer=")) {
-      o.buffer_bytes = number<std::int64_t>(arg, v, Range::kPositive);
+      o.buffer_bytes = number<std::int64_t>(arg, v, NumberRange::kPositive);
     } else if (const char* v = value("--record=")) {
-      o.record = number<std::size_t>(arg, v, Range::kNonNegative);
+      o.record = number<std::size_t>(arg, v, NumberRange::kNonNegative);
     } else if (const char* v = value("--ecn=")) {
-      o.ecn_bytes = number<std::int64_t>(arg, v, Range::kNonNegative);
+      o.ecn_bytes = number<std::int64_t>(arg, v, NumberRange::kNonNegative);
     } else if (const char* v = value("--policer-rate=")) {
-      o.policer_rate_mbps = number<double>(arg, v, Range::kNonNegative);
+      o.policer_rate_mbps = number<double>(arg, v, NumberRange::kNonNegative);
     } else if (const char* v = value("--policer-burst=")) {
-      o.policer_burst = number<std::int64_t>(arg, v, Range::kPositive);
+      o.policer_burst = number<std::int64_t>(arg, v, NumberRange::kPositive);
     } else if (const char* v = value("--policer-start=")) {
-      o.policer_start_s = number<double>(arg, v, Range::kNonNegative);
+      o.policer_start_s = number<double>(arg, v, NumberRange::kNonNegative);
     } else if (const char* v = value("--policer-stop=")) {
       o.policer_stop_s = number<double>(arg, v);
     } else if (arg == "--policer-mark") {
@@ -176,6 +151,8 @@ int run(const Options& o) {
     std::cerr << "unknown --topo=" << o.topo << "\n";
     return 2;
   }
+  if (o.duration_s >= to_seconds(kSimTimeMax) / 2)
+    throw std::invalid_argument("--duration is beyond the simulator clock");
   spec.duration = static_cast<SimDuration>(o.duration_s * 1e6);
   spec.warmup = static_cast<SimDuration>(o.warmup_s * 1e6);
   // The summary measures [warmup, duration); an empty window reads as zeros.

@@ -19,9 +19,11 @@
 // columnar sampler and dump it post-run; --sample-ms sets its interval.
 // stderr always reports events processed and events/s, so overhead of the
 // sampler is measurable by diffing two invocations.
+#include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -31,6 +33,7 @@
 #include "harness/runner.h"
 #include "harness/scenario.h"
 #include "obs/profiler.h"
+#include "util/parse_number.h"
 
 namespace {
 
@@ -40,9 +43,10 @@ constexpr const char* kUsage =
     "[--profile] [--no-trace] [--telemetry=FILE.jsonl] "
     "[--telemetry-bin=FILE.bin] [--sample-ms=MS]\n";
 
-}  // namespace
+// The summary measures [kWarmup, duration).
+constexpr libra::SimDuration kWarmup = libra::sec(1);
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace libra;
   std::string out_path = "trace.jsonl";
   std::string telemetry_path;
@@ -58,25 +62,26 @@ int main(int argc, char** argv) {
   bool trace = true;
   for (int i = 1; i < argc; ++i) {
     std::string_view a = argv[i];
+    const std::string flag(a.substr(0, a.find('=')));
+    const char* v = argv[i] + std::min(a.size(), flag.size() + 1);  // after '='
     if (a.rfind("--out=", 0) == 0) {
-      out_path = std::string(a.substr(6));
+      out_path = v;
     } else if (a.rfind("--cca=", 0) == 0) {
-      cca = std::string(a.substr(6));
+      cca = v;
     } else if (a.rfind("--rate=", 0) == 0) {
-      rate_mbps = std::atof(std::string(a.substr(7)).c_str());
+      rate_mbps = number<double>(flag, v, NumberRange::kPositive);
     } else if (a.rfind("--duration=", 0) == 0) {
-      duration_s = std::atof(std::string(a.substr(11)).c_str());
+      duration_s = number<double>(flag, v, NumberRange::kPositive);
     } else if (a.rfind("--seed=", 0) == 0) {
-      seed = static_cast<std::uint64_t>(
-          std::atoll(std::string(a.substr(7)).c_str()));
+      seed = number<std::uint64_t>(flag, v);
     } else if (a.rfind("--flows=", 0) == 0) {
-      n_flows = std::atoi(std::string(a.substr(8)).c_str());
+      n_flows = number<int>(flag, v, NumberRange::kPositive);
     } else if (a.rfind("--telemetry=", 0) == 0) {
-      telemetry_path = std::string(a.substr(12));
+      telemetry_path = v;
     } else if (a.rfind("--telemetry-bin=", 0) == 0) {
-      telemetry_bin_path = std::string(a.substr(16));
+      telemetry_bin_path = v;
     } else if (a.rfind("--sample-ms=", 0) == 0) {
-      sample_ms = std::atof(std::string(a.substr(12)).c_str());
+      sample_ms = number<double>(flag, v, NumberRange::kPositive);
     } else if (a == "--meta") {
       meta = true;
     } else if (a == "--no-trace") {
@@ -88,10 +93,12 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (n_flows < 1) {
-    std::cerr << "error: --flows must be >= 1\n";
-    return 2;
-  }
+  if (duration_s <= to_seconds(kWarmup))
+    throw std::invalid_argument("--duration must exceed the 1 s warm-up");
+  if (duration_s >= to_seconds(kSimTimeMax) / 2)
+    throw std::invalid_argument("--duration is beyond the simulator clock");
+  if (sample_ms * 1000.0 < 1)
+    throw std::invalid_argument("--sample-ms must be at least 0.001 (1 us)");
 
   CcaFactory factory;
   if (cca == "cubic") {
@@ -117,8 +124,7 @@ int main(int argc, char** argv) {
   obs.trace_meta = meta;
   if (!telemetry_path.empty() || !telemetry_bin_path.empty()) {
     obs.telemetry.enabled = true;
-    obs.telemetry.config.sample_interval =
-        std::max<SimDuration>(1, static_cast<SimDuration>(sample_ms * 1000.0));
+    obs.telemetry.config.sample_interval = static_cast<SimDuration>(sample_ms * 1000.0);
     obs.telemetry.jsonl_path = telemetry_path;
     obs.telemetry.binary_path = telemetry_bin_path;
   }
@@ -128,7 +134,7 @@ int main(int argc, char** argv) {
 
   if (profile) Profiler::instance().enable();
   auto net = run_scenario(s, flows, seed, obs);
-  RunSummary summary = summarize(*net, sec(1), s.duration);
+  RunSummary summary = summarize(*net, kWarmup, s.duration);
 
   if (trace) {
     std::cerr << "recorded " << net->recorder().recorded() << " events to "
@@ -150,4 +156,17 @@ int main(int argc, char** argv) {
     std::cerr << "\n" << Profiler::instance().text_report();
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A malformed or out-of-range value exits 2 with a message, like an
+  // unknown flag.
+  try {
+    return run(argc, argv);
+  } catch (const std::logic_error& e) {
+    std::cerr << "record_run: " << e.what() << "\n";
+    return 2;
+  }
 }
