@@ -59,6 +59,14 @@ if [[ "$RUN_TIER1" == 1 ]]; then
     [[ "$rc" == 2 ]] || {
       echo "trace round-trip: record_run $bad exited $rc, want 2" >&2; exit 1; }
   done
+  for bad in "--warmup=abc" "--flow=xyz" "--top=-3" "--horizon=-5"; do
+    rc=0
+    ./build/tools/trace_summarize "$bad" "$TRACE_DIR/smoke.jsonl" \
+      >/dev/null 2>&1 || rc=$?
+    [[ "$rc" == 2 ]] || {
+      echo "trace round-trip: trace_summarize $bad exited $rc, want 2" >&2
+      exit 1; }
+  done
   echo "trace round-trip: ok"
 
   echo "== profiler smoke: profiled run + validated JSON artifacts =="
@@ -126,7 +134,9 @@ if [[ "$RUN_TIER1" == 1 ]]; then
   # Bad input must fail with a message and exit 2: never run a default in
   # its place, never abort on an uncaught exception.
   for bad in "--duration=-1" "--topo=parking_lot --hops=0" "--flows=abc" \
-             "--rate=0" "--rate=abc"; do
+             "--rate=0" "--rate=abc" "--flows=10 --duration=2 --warmup=1e300" \
+             "--flows=10 --duration=2 --stagger=1e300" \
+             "--flows=10 --duration=2 --policer-rate=5 --policer-start=1e300"; do
     rc=0
     # shellcheck disable=SC2086  # $bad holds one or two flags
     ./build/tools/fleet_run $bad >/dev/null 2>&1 || rc=$?

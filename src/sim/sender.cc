@@ -159,13 +159,10 @@ void Sender::transmit_one() {
   pkt.flow_id = config_.flow_id;
   pkt.seq = next_seq_++;
   pkt.bytes = config_.packet_bytes;
-  pkt.sent_time = now;
-  pkt.delivered_at_send = delivered_bytes_;
-  pkt.delivered_time_at_send = delivered_time_ > 0 ? delivered_time_ : now;
   pkt.ecn_capable = config_.ecn_capable;
 
-  outstanding_.push(pkt.seq, {now, pkt.bytes, pkt.delivered_at_send,
-                              pkt.delivered_time_at_send});
+  outstanding_.push(pkt.seq, {now, pkt.bytes, delivered_bytes_,
+                              delivered_time_ > 0 ? delivered_time_ : now});
   bytes_in_flight_ += pkt.bytes;
   ++packets_sent_;
 

@@ -1,6 +1,7 @@
 // Strict numeric flag values for the command-line tools: the whole text must
 // parse, so "abc", "5x", "" and out-of-range values are errors rather than a
-// silent 0 the way atoi/atof read them.
+// silent 0 the way atoi/atof read them. Time values are range-checked against
+// the simulator clock before conversion.
 #pragma once
 
 #include <charconv>
@@ -9,6 +10,8 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+
+#include "util/types.h"
 
 namespace libra {
 
@@ -34,6 +37,17 @@ T number(const std::string& flag, const char* text,
     throw std::invalid_argument(flag + ": expected " + what);
   }
   return out;
+}
+
+/// Converts a time flag's value, counted in units of `unit_us` microseconds
+/// (seconds by default), to simulated time. A magnitude at or beyond half the
+/// simulator clock, where the sum of two times could overflow, throws
+/// std::invalid_argument naming `flag`.
+inline SimTime sim_time(const std::string& flag, double value, double unit_us = 1e6) {
+  const double us = value * unit_us;
+  if (!(std::fabs(us) < static_cast<double>(kSimTimeMax) / 2))
+    throw std::invalid_argument(flag + " is beyond the simulator clock");
+  return static_cast<SimTime>(us);
 }
 
 }  // namespace libra

@@ -305,8 +305,8 @@ TEST(SimulatorAllocation, TwoFlowNetworkPacketPathAllocatesNothing) {
   // Each flow logs every ACK, loss and delivery in an append-only chunked
   // log (the results are computed from it). A new chunk (or a regrowth of
   // the chunk index) is the only allocation allowed; the packet path itself
-  // must make none. The window is long enough (~1000 ACKs/s per flow) for
-  // each flow's ACK log to start its second chunk inside it.
+  // must make none. The window is long enough for the first flow's ACK log
+  // (about 1500 ACKs/s, 8192 per chunk) to start its second chunk inside it.
   const std::size_t before = log_allocations(net);
   g_allocations.store(0);
   g_counting.store(true);

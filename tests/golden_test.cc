@@ -1,9 +1,9 @@
 // Golden-output pins: FNV-1a digests of the deterministic simulated fields of
-// a few canonical runs (droptail single bottleneck, CoDel, fleet incast, a
-// churned sharded fleet with health), recorded once and checked on every
-// build. The other determinism tests compare two runs of the same tree
-// (serial vs sharded, thread counts, seeds); these catch an engine change
-// that shifts results across commits. A digest may change only together
+// a few canonical runs (droptail single bottleneck, its goodput timeline,
+// CoDel, fleet incast, a churned sharded fleet with health), recorded once
+// and checked on every build. The other determinism tests compare two runs
+// of the same tree (serial vs sharded, thread counts, seeds); these catch an
+// engine change that shifts results across commits. A digest may change only together
 // with a deliberate, documented change of simulated behaviour.
 //
 // Classic CCAs only, so the pins hold under both LIBRA_SIMD dispatch modes.
@@ -114,6 +114,23 @@ TEST(Golden, LteDrivingCubic) {
 TEST(Golden, LteDrivingBbr) {
   EXPECT_EQ(scenario_digest(lte_scenario(LteProfile::kDriving, "lte-driving"), bbr()),
             "cd9c0df2f3a56ecb");
+}
+
+// The paper-mix run that holds the largest run log: its goodput timeline is
+// read back record by record, so the pin covers the log's storage format.
+std::string rate_bins_digest(const CcaFactory& make_cca) {
+  auto net = run_scenario(wired_scenario(96), {FlowSpec{make_cca}}, /*seed=*/1);
+  Fnv1a d;
+  for (double v : net->flow(0).rate_bins(msec(100), sec(58), sec(2))) d.add(v);
+  return d.hex();
+}
+
+TEST(Golden, Wired96RateBinsCubic) {
+  EXPECT_EQ(rate_bins_digest(cubic()), "cffe4a2666db5cae");
+}
+
+TEST(Golden, Wired96RateBinsBbr) {
+  EXPECT_EQ(rate_bins_digest(bbr()), "f882e687c165894d");
 }
 
 TEST(Golden, IncastCubic) {

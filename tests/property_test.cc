@@ -531,6 +531,18 @@ bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
+// The log's rate bins against the ACK series shifted to `origin`.
+void expect_same_rate_bins(const FlowLog& log, const TimeSeries& acked, SimDuration bin,
+                           SimDuration horizon, SimTime origin) {
+  TimeSeries shifted;
+  for (const TimeSeries::Point& p : acked.points()) shifted.add(p.time - origin, p.value);
+  const std::vector<double> got = log.ack_rate_bins(bin, horizon, origin);
+  const std::vector<double> want = shifted.to_rate_bins(bin, horizon);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_TRUE(same_bits(got[i], want[i])) << "bin " << i;
+}
+
 TEST_P(FlowLogQueries, MatchTimeSeriesReference) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) + 101);
   struct Ref {
@@ -545,7 +557,7 @@ TEST_P(FlowLogQueries, MatchTimeSeriesReference) {
 
   SimTime now = 0;
   std::vector<SimTime> times;
-  for (int step = 0; step < 40000; ++step) {
+  for (int step = 0; step < 80000; ++step) {
     now += rng.uniform_int(0, 3) == 0 ? 0 : rng.uniform_int(1, 400);
     Ref& f = flows[static_cast<std::size_t>(rng.uniform_int(0, 2))];
     const auto bytes = static_cast<double>(f.log.packet_bytes());
@@ -564,7 +576,7 @@ TEST_P(FlowLogQueries, MatchTimeSeriesReference) {
     }
     times.push_back(now);
   }
-  ASSERT_GT(flows[0].log.acks().size(), ChunkedLog<AckRecord>::kChunkRecords);
+  ASSERT_GT(flows[0].log.acks().chunk_count(), 1u);
 
   auto at = [&](std::size_t i) { return times[i % times.size()]; };
   auto any_index = [&] { return static_cast<std::size_t>(rng.uniform_int(0, 1 << 30)); };
@@ -602,20 +614,135 @@ TEST_P(FlowLogQueries, MatchTimeSeriesReference) {
     const SimTime origin = k < 2 ? 0 : k < 6 ? at(any_index()) : rng.uniform_int(-5000, now);
     SCOPED_TRACE(testing::Message() << "bin " << bin << " horizon " << horizon
                                     << " origin " << origin);
-    for (const Ref& f : flows) {
-      TimeSeries shifted;
-      for (const TimeSeries::Point& p : f.acked.points())
-        shifted.add(p.time - origin, p.value);
-      const std::vector<double> got = f.log.ack_rate_bins(bin, horizon, origin);
-      const std::vector<double> want = shifted.to_rate_bins(bin, horizon);
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t i = 0; i < got.size(); ++i)
-        ASSERT_TRUE(same_bits(got[i], want[i])) << "bin " << i;
-    }
+    for (const Ref& f : flows) expect_same_rate_bins(f.log, f.acked, bin, horizon, origin);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomLogs, FlowLogQueries, ::testing::Range(0, 10));
+
+// The chunk layout itself: gaps longer than a 32-bit µs offset close chunks
+// early (some exactly at the largest offset that still fits, some one µs
+// past it), runs of equal times straddle chunk boundaries, and windows and
+// rate-bin origins sit on every chunk's base time. The test tracks where the
+// documented format starts each chunk and checks the log agrees.
+class FlowLogChunks : public ::testing::TestWithParam<int> {};
+
+TEST_P(FlowLogChunks, GapsAndBoundariesMatchTimeSeriesReference) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) + 201);
+  constexpr SimDuration kMaxOffset = 0xFFFFFFFF;
+  FlowLog log(rng.uniform_int(40, 9000));
+  const auto bytes = static_cast<double>(log.packet_bytes());
+  TimeSeries acked, rtt_ms, lost, delivered;
+
+  // Expected chunk bases of one stream, and how many of its chunks closed
+  // before they were full.
+  struct Layout {
+    std::size_t capacity;
+    std::vector<SimTime> bases;
+    std::size_t in_chunk = 0, early = 0;
+    void add(SimTime t) {
+      const bool full = in_chunk == capacity;
+      if (bases.empty() || full || t - bases.back() > kMaxOffset) {
+        if (!bases.empty() && !full) ++early;
+        bases.push_back(t);
+        in_chunk = 0;
+      }
+      ++in_chunk;
+    }
+  };
+  Layout ack_layout{PackedLog<2>::kChunkRecords, {}};
+  Layout delivery_layout{PackedLog<1>::kChunkRecords, {}};
+
+  SimTime now = 0;
+  auto ack = [&] {
+    // RTTs span the whole field, its largest value included.
+    const SimDuration rtt =
+        rng.uniform_int(0, 20) == 0 ? kMaxOffset : rng.uniform_int(0, kMaxOffset);
+    log.add_ack(now, rtt);
+    acked.add(now, bytes);
+    rtt_ms.add(now, to_msec(rtt));
+    ack_layout.add(now);
+  };
+  auto deliver = [&] {
+    log.add_delivery(now);
+    delivered.add(now, bytes);
+    delivery_layout.add(now);
+  };
+  // Six forced jumps, cycling through: to the last time the current ACK
+  // chunk can hold, to one µs past it, and a gap of one to three offsets.
+  constexpr int kSteps = 100000;
+  std::vector<int> jumps;
+  for (int i = 0; i < 6; ++i) jumps.push_back(static_cast<int>(rng.uniform_int(0, kSteps - 1)));
+  std::sort(jumps.begin(), jumps.end());
+  std::size_t next_jump = 0;
+  for (int step = 0; step < kSteps; ++step) {
+    const bool jump = next_jump < jumps.size() && jumps[next_jump] == step;
+    if (jump) {
+      if (next_jump % 3 == 2 || ack_layout.bases.empty())
+        now += rng.uniform_int(kMaxOffset, 3 * kMaxOffset);
+      else
+        now = std::max(now, ack_layout.bases.back() + kMaxOffset + SimDuration(next_jump % 3));
+      ++next_jump;
+    } else if (rng.uniform_int(0, 3) != 0) {
+      now += rng.uniform_int(1, 400);
+    }
+    const std::int64_t kind = jump ? 0 : rng.uniform_int(0, 9);  // an ACK lands on each jump
+    if (kind < 6) {
+      // A chunk about to fill gets a run of equal times across its end.
+      const int n = ack_layout.in_chunk + 1 == ack_layout.capacity ? 3 : 1;
+      for (int i = 0; i < n; ++i) ack();
+    } else if (kind < 9) {
+      const int n = delivery_layout.in_chunk + 1 == delivery_layout.capacity ? 3 : 1;
+      for (int i = 0; i < n; ++i) deliver();
+    } else {
+      log.add_loss(now);
+      lost.add(now, bytes);
+    }
+  }
+  ASSERT_EQ(log.acks().chunk_count(), ack_layout.bases.size());
+  ASSERT_EQ(log.deliveries().chunk_count(), delivery_layout.bases.size());
+  ASSERT_GT(ack_layout.early, 0u);
+  ASSERT_GT(ack_layout.bases.size(), ack_layout.early + 2);  // some full chunks too
+  ASSERT_GT(delivery_layout.early, 0u);
+
+  std::vector<SimTime> bases = ack_layout.bases;
+  bases.insert(bases.end(), delivery_layout.bases.begin(), delivery_layout.bases.end());
+  auto any_base = [&] {
+    const auto last = static_cast<std::int64_t>(bases.size()) - 1;
+    return bases[static_cast<std::size_t>(rng.uniform_int(0, last))];
+  };
+  std::vector<std::pair<SimTime, SimTime>> windows = {{0, kSimTimeMax}, {now, now + 1}};
+  for (SimTime b : bases) {
+    for (SimTime w : {b - 1, b, b + 1}) {
+      windows.emplace_back(w, w + 1);
+      windows.emplace_back(0, w);
+      windows.emplace_back(w, kSimTimeMax);
+    }
+    windows.emplace_back(b, any_base());
+    windows.emplace_back(rng.uniform_int(0, now), b);
+  }
+  for (auto [t0, t1] : windows) {
+    SCOPED_TRACE(testing::Message() << "[" << t0 << ", " << t1 << ")");
+    EXPECT_TRUE(same_bits(log.acked_bytes_in(t0, t1), acked.sum_in(t0, t1)));
+    EXPECT_TRUE(same_bits(log.lost_bytes_in(t0, t1), lost.sum_in(t0, t1)));
+    EXPECT_TRUE(same_bits(log.delivered_bytes_in(t0, t1), delivered.sum_in(t0, t1)));
+    EXPECT_TRUE(same_bits(log.mean_rtt_ms_in(t0, t1), rtt_ms.mean_in(t0, t1)));
+  }
+
+  for (int k = 0; k < 24; ++k) {
+    // Fine bins near an origin, or bins wide enough to span the long gaps;
+    // at most 4000 bins either way.
+    const SimDuration bin =
+        k % 2 ? rng.uniform_int(1, msec(200)) : rng.uniform_int(sec(1), sec(3000));
+    const SimDuration horizon = rng.uniform_int(1, 4000 * bin);
+    const SimTime origin = k % 3 ? any_base() : any_base() + rng.uniform_int(-1, 1);
+    SCOPED_TRACE(testing::Message() << "bin " << bin << " horizon " << horizon
+                                    << " origin " << origin);
+    expect_same_rate_bins(log, acked, bin, horizon, origin);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomGappedLogs, FlowLogChunks, ::testing::Range(0, 4));
 
 }  // namespace
 }  // namespace libra

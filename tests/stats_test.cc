@@ -116,6 +116,18 @@ TEST(FlowLog, RejectsTimeGoingBackwardsAndBadPacketSize) {
   EXPECT_THROW(FlowLog(0), std::invalid_argument);
 }
 
+TEST(FlowLog, RttBeyondItsFieldThrows) {
+  // An RTT is stored as unsigned 32-bit microseconds (about 71.6 min); a
+  // clamp would change the mean RTT, so a value that does not fit throws.
+  FlowLog fl(1500);
+  const SimDuration max_rtt = 0xFFFFFFFF;
+  fl.add_ack(msec(10), max_rtt);
+  EXPECT_THROW(fl.add_ack(msec(11), max_rtt + 1), std::out_of_range);
+  EXPECT_THROW(fl.add_ack(msec(11), -1), std::out_of_range);
+  EXPECT_EQ(fl.acks().size(), 1u);
+  EXPECT_DOUBLE_EQ(fl.mean_rtt_ms_in(0, sec(1)), to_msec(max_rtt));
+}
+
 TEST(Convergence, DetectsStableSignal) {
   // 2s of ramp then stable at 100 for the rest; bin = 500ms, hold = 5s.
   std::vector<double> bins;

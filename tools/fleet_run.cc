@@ -151,15 +151,13 @@ int run(const Options& o) {
     std::cerr << "unknown --topo=" << o.topo << "\n";
     return 2;
   }
-  if (o.duration_s >= to_seconds(kSimTimeMax) / 2)
-    throw std::invalid_argument("--duration is beyond the simulator clock");
-  spec.duration = static_cast<SimDuration>(o.duration_s * 1e6);
-  spec.warmup = static_cast<SimDuration>(o.warmup_s * 1e6);
+  spec.duration = sim_time("--duration", o.duration_s);
+  spec.warmup = sim_time("--warmup", o.warmup_s);
   // The summary measures [warmup, duration); an empty window reads as zeros.
   if (!o.events_only && spec.warmup >= spec.duration)
     throw std::invalid_argument("--warmup must be below --duration");
   if (o.stagger_ms >= 0)
-    spec.stagger = static_cast<SimDuration>(o.stagger_ms * 1e3);
+    spec.stagger = sim_time("--stagger", o.stagger_ms, 1e3);
   spec.sender_shards = o.sender_shards;
   spec.churn.enabled = o.churn;
   if (o.buffer_bytes > 0) spec.buffer_bytes = o.buffer_bytes;
@@ -167,10 +165,9 @@ int run(const Options& o) {
   spec.policer_rate_mbps = o.policer_rate_mbps;
   spec.policer_burst_bytes = o.policer_burst;
   spec.policer_marks = o.policer_mark;
-  spec.policer_start = static_cast<SimTime>(o.policer_start_s * 1e6);
-  spec.policer_stop = o.policer_stop_s < 0
-                          ? kSimTimeMax
-                          : static_cast<SimTime>(o.policer_stop_s * 1e6);
+  spec.policer_start = sim_time("--policer-start", o.policer_start_s);
+  spec.policer_stop = o.policer_stop_s < 0 ? kSimTimeMax
+                                           : sim_time("--policer-stop", o.policer_stop_s);
 
   FleetRunOptions run_opts;
   if (o.mode == "sharded") {

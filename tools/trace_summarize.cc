@@ -23,18 +23,21 @@
 //
 // Exits non-zero if any input yields no events (truncated/empty trace) or
 // contains unparseable lines (corrupt/truncated mid-write). Unknown flags
-// exit 2 with the usage text.
+// exit 2 with the usage text; a malformed or out-of-range flag value
+// (negative times or --flow, --top below 1) exits 2 with a message.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "harness/report.h"
+#include "util/parse_number.h"
 
 namespace {
 
@@ -437,25 +440,29 @@ int summarize_file(const std::string& path, const Options& opt) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
+  using libra::number;
+  using libra::NumberRange;
   Options opt;
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
     std::string_view a = argv[i];
+    const std::string flag(a.substr(0, a.find('=')));
+    const char* v = argv[i] + std::min(a.size(), flag.size() + 1);  // after '='
     if (a.rfind("--warmup=", 0) == 0) {
-      opt.warmup_s = std::atof(std::string(a.substr(9)).c_str());
+      opt.warmup_s = number<double>(flag, v, NumberRange::kNonNegative);
     } else if (a.rfind("--horizon=", 0) == 0) {
-      opt.horizon_s = std::atof(std::string(a.substr(10)).c_str());
+      opt.horizon_s = number<double>(flag, v, NumberRange::kNonNegative);
     } else if (a.rfind("--flow=", 0) == 0) {
-      opt.flow = std::atoi(std::string(a.substr(7)).c_str());
+      opt.flow = number<int>(flag, v, NumberRange::kNonNegative);
     } else if (a.rfind("--since=", 0) == 0) {
-      opt.since_s = std::atof(std::string(a.substr(8)).c_str());
+      opt.since_s = number<double>(flag, v, NumberRange::kNonNegative);
     } else if (a.rfind("--until=", 0) == 0) {
-      opt.until_s = std::atof(std::string(a.substr(8)).c_str());
+      opt.until_s = number<double>(flag, v, NumberRange::kNonNegative);
     } else if (a.rfind("--event=", 0) == 0) {
-      opt.event = std::string(a.substr(8));
+      opt.event = v;
     } else if (a.rfind("--top=", 0) == 0) {
-      opt.top = std::atoi(std::string(a.substr(6)).c_str());
+      opt.top = number<int>(flag, v, NumberRange::kPositive);
     } else if (a.rfind("--", 0) == 0) {
       std::cerr << kUsage;
       return 2;
@@ -472,4 +479,7 @@ int main(int argc, char** argv) {
     rc |= opt.event.empty() ? summarize_file(path, opt) : query_file(path, opt);
   }
   return rc;
+} catch (const std::invalid_argument& e) {
+  std::cerr << "trace_summarize: " << e.what() << "\n";
+  return 2;
 }
